@@ -81,7 +81,7 @@ void BM_SdmuFunctionalMatch(benchmark::State& state) {
   std::int64_t matches = 0;
   for (auto _ : state) {
     for (const auto& tile : tiles) {
-      const auto groups = sdmu.match_tile(tile, x);
+      const auto groups = sdmu.match_tile(tile);
       for (const auto& g : groups) matches += static_cast<std::int64_t>(g.matches.size());
     }
   }
@@ -100,7 +100,7 @@ void BM_SdmuCycleSimulation(benchmark::State& state) {
   std::int64_t sim_cycles = 0;
   for (auto _ : state) {
     for (const auto& tile : tiles) {
-      sim_cycles += sdmu.simulate_tile(tile, x, 1).stats.cycles;
+      sim_cycles += sdmu.simulate_tile(tile, 1).stats.cycles;
     }
   }
   state.SetItemsProcessed(sim_cycles);

@@ -208,7 +208,8 @@ int main(int argc, char** argv) {
       .field("trace_events", trace_events)
       .field("obs_overhead_pct", overhead_pct, 2)
       .emit();
-  bench::emit_obs_snapshot();
+  // The serve counters live on the Server's own registry, not the global one.
+  bench::emit_obs_snapshot(&snapshot_server.telemetry().registry());
 
   // Injected faults and delays would drown the tracer in the comparison, so
   // the overhead gate only applies to fault-free runs.

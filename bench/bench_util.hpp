@@ -126,11 +126,26 @@ class BenchLine {
 
 /// Registry snapshot hook for the experiment harness: when the runner arms
 /// ESCA_BENCH_OBS=1, dump the process-wide obs registry as one BENCHOBS
-/// line (Registry::to_json verbatim) so counter-derived metrics ride along
-/// with the BENCH lines. A no-op otherwise — benches stay quiet for humans.
-inline void emit_obs_snapshot() {
+/// line (Registry::to_json) so counter-derived metrics ride along with the
+/// BENCH lines. `extra` (e.g. a serve::Server's per-instance telemetry
+/// registry) is folded into the same line; its metrics win on a name clash.
+/// A no-op unless armed — benches stay quiet for humans.
+inline void emit_obs_snapshot(const obs::Registry* extra = nullptr) {
   if (std::getenv("ESCA_BENCH_OBS") == nullptr) return;
-  std::printf("BENCHOBS %s\n", obs::Registry::global().to_json().c_str());
+  json::Value merged;
+  json::Value more;
+  std::string error;
+  if (!json::parse(obs::Registry::global().to_json(), merged, error) ||
+      (extra != nullptr && !json::parse(extra->to_json(), more, error))) {
+    std::fprintf(stderr, "emit_obs_snapshot: %s\n", error.c_str());
+    std::exit(1);
+  }
+  for (const auto& [section, metrics] : more.object) {
+    json::Value& into = merged.object[section];
+    if (!into.is_object()) into = json::Value::make_object();
+    for (const auto& [name, value] : metrics.object) into.object[name] = value;
+  }
+  std::printf("BENCHOBS %s\n", merged.dump().c_str());
 }
 
 }  // namespace esca::bench

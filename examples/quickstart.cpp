@@ -44,8 +44,10 @@ int main() {
   const runtime::Plan plan =
       engine.compile_layer(conv, input, {.name = "quickstart"});
 
-  // 4. Run one frame; verify=true (the default) throws if the simulated
-  //    hardware ever diverged from the integer gold model.
+  // 4. Run one frame. The output comes from the shared integer compute
+  //    engine; verify=true (the default) checks it against the gold output,
+  //    and the simulator throws if its SDMU matches ever diverge from the
+  //    layer's rulebook.
   const runtime::RunReport report = engine.run(plan);
   const core::LayerRunStats& stats = report.frames.front().stats.layers.front();
 

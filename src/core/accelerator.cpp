@@ -91,7 +91,7 @@ Accelerator::Accelerator(ArchConfig config)
 
 LayerRunResult Accelerator::run_layer(const quant::QuantizedSubConv& layer,
                                       const quant::QSparseTensor& input,
-                                      const RunOptions& options) {
+                                      const RunOptions& options, sparse::ComputeEngine* engine) {
   ESCA_REQUIRE(input.channels() == layer.in_channels(),
                "input channels " << input.channels() << " != layer " << layer.in_channels());
   ESCA_REQUIRE(layer.kernel_size() == config_.kernel_size,
@@ -104,27 +104,28 @@ LayerRunResult Accelerator::run_layer(const quant::QuantizedSubConv& layer,
   st.out_channels = layer.out_channels();
   st.sites = static_cast<std::int64_t>(input.size());
 
-  // Geometry (coordinate set) shared by the matching pipeline — reuse the
-  // caller's precompiled site tensor when provided (steady-state frames).
-  sparse::SparseTensor local_geometry(input.spatial_extent(), 1);
-  if (options.geometry == nullptr) {
-    local_geometry.reserve(input.size());
-    for (const Coord3& c : input.coords()) local_geometry.add_site(c);
-  } else {
-    ESCA_REQUIRE(options.geometry->size() == input.size() &&
-                     options.geometry->spatial_extent() == input.spatial_extent(),
-                 "precompiled geometry does not match the input tensor");
-  }
-  const sparse::SparseTensor& geometry =
-      options.geometry != nullptr ? *options.geometry : local_geometry;
+  // Geometry shared by the numerics and the matching pipeline: the caller's
+  // precompiled handle (steady-state frames), else the input's memoized
+  // build — the same fallback CompiledLayer::run_gold uses.
+  sparse::LayerGeometryPtr memoized;
+  if (options.geometry == nullptr) memoized = input.submanifold_geometry(layer.kernel_size());
+  const sparse::LayerGeometry& geometry =
+      options.geometry != nullptr ? *options.geometry : *memoized;
+  ESCA_REQUIRE(geometry.sites.size() == input.size() &&
+                   geometry.sites.spatial_extent() == input.spatial_extent(),
+               "precompiled geometry does not match the input tensor");
+
+  // --- numerics: the shared compute engine ------------------------------------
+  quant::QSparseTensor output = layer.forward(input, geometry, engine);
 
   // --- §III.A zero removing ---------------------------------------------------
   const ZeroRemoving zr(config_.tile_size);
-  const voxel::TileGrid tiles = zr.apply(geometry, &st.zero_removing);
+  const voxel::TileGrid tiles = zr.apply(geometry.sites, &st.zero_removing);
 
   // --- §III.B encoding ----------------------------------------------------------
   const TileEncoder encoder(config_);
-  const std::vector<EncodedTile> encoded = encoder.encode(geometry, tiles, &st.encoding);
+  const std::vector<EncodedTile> encoded =
+      encoder.encode(geometry.sites, tiles, &st.encoding);
 
   // --- buffer capacity ----------------------------------------------------------
   // Tiles whose working set overflows a buffer are double-streamed; the
@@ -150,20 +151,13 @@ LayerRunResult Accelerator::run_layer(const quant::QuantizedSubConv& layer,
                   << " tile working sets exceed on-chip buffers (double-streamed)";
   }
 
-  // --- per-tile SDMU + CC -------------------------------------------------------
+  // --- per-tile SDMU + CC timing ------------------------------------------------
   const Sdmu sdmu(config_);
-  const ComputingCore cc(config_);
-  const int ccpm = cc.cycles_per_match(layer.in_channels(), layer.out_channels());
-
-  quant::QSparseTensor output(input.spatial_extent(), layer.out_channels(),
-                              quant::QuantParams{layer.out_scale()});
-  for (const Coord3& c : input.coords()) output.add_site(c);
-
-  std::vector<std::int64_t> acc(static_cast<std::size_t>(layer.out_channels()));
+  const ComputingCore cc(config_, layer.in_channels(), layer.out_channels());
   std::int64_t covered_sites = 0;
 
   for (const EncodedTile& tile : encoded) {
-    SdmuResult tile_result = sdmu.simulate_tile(tile, geometry, ccpm);
+    SdmuResult tile_result = sdmu.simulate_tile(tile, cc.cycles_per_match());
     st.sdmu.merge(tile_result.stats);
 
     if (config_.mem.simulate_buffer) {
@@ -180,12 +174,9 @@ LayerRunResult Accelerator::run_layer(const quant::QuantizedSubConv& layer,
     }
 
     for (const MatchGroup& group : tile_result.groups) {
-      std::fill(acc.begin(), acc.end(), 0);
-      const GroupComputeResult gr = cc.process_group(group, input, layer, acc);
+      const GroupComputeResult gr = cc.time_group(group);
       st.cc_cycles += gr.cycles;
       st.mac_ops += gr.mac_ops;
-      cc.writeback(acc, layer,
-                   output.features(static_cast<std::size_t>(group.out_row)));
       ++covered_sites;
 
       // Energy accounting for this group.
@@ -201,6 +192,11 @@ LayerRunResult Accelerator::run_layer(const quant::QuantizedSubConv& layer,
   ESCA_CHECK(covered_sites == st.sites,
              "not every site produced an output group: " << covered_sites << " vs "
                                                          << st.sites);
+  // The SDMU derives its matches from the tile encoding alone; they must be
+  // exactly the rules the output was computed from.
+  ESCA_CHECK(st.sdmu.matches == geometry.total_rules(),
+             "layer '" << layer.name() << "': SDMU matched " << st.sdmu.matches
+                       << " pairs, the rulebook has " << geometry.total_rules());
 
   // --- DRAM traffic (sim/mem closed form) ---------------------------------------
   st.traffic_input.active_tiles = st.encoding.tiles;

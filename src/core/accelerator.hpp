@@ -1,11 +1,14 @@
 // ESCA top level (paper §III.E, Fig. 9): main controller + SDMU + computing
 // core + on-chip buffers + off-chip DRAM.
 //
-// run_layer() executes one quantized Sub-Conv layer the way the hardware
-// does — zero removing, tile encoding, per-tile SDMU matching and CC
-// compute — and returns both the INT16 output tensor (bit-exact vs. the
-// quant::QuantizedSubConv gold model) and the full cycle/traffic statistics
-// used by the performance benches.
+// The simulator computes *timing*, not a second copy of the arithmetic.
+// run_layer() takes one quantized Sub-Conv layer's INT16 output from the
+// shared sparse::ComputeEngine (quant::QuantizedSubConv::forward over the
+// layer's rulebook — the same path the CPU backend runs), then models how
+// the hardware would produce it: zero removing, tile encoding, per-tile SDMU
+// matching, computing-core occupancy, buffer accesses and DRAM traffic. It
+// checks that the SDMU matched exactly the rulebook's rules, and returns the
+// output with the full cycle/traffic statistics the performance benches use.
 #pragma once
 
 #include <cstdint>
@@ -97,10 +100,10 @@ struct RunOptions {
   /// Weights already reside in the on-chip weight buffer (steady-state /
   /// batch execution): no weight DRAM transfer is charged.
   bool weights_resident{false};
-  /// Precompiled coordinate-set tensor for this layer (row r == input row
-  /// r), e.g. the Plan-cached LayerGeometry::sites. When null, run_layer
-  /// rebuilds it from the input coords.
-  const sparse::SparseTensor* geometry{nullptr};
+  /// Precompiled geometry over the input's coordinate set (site row r ==
+  /// input row r), e.g. the Plan-cached CompiledLayer::geometry. When null,
+  /// run_layer uses the input's memoized submanifold geometry (one build).
+  const sparse::LayerGeometry* geometry{nullptr};
 };
 
 class Accelerator {
@@ -109,8 +112,12 @@ class Accelerator {
 
   const ArchConfig& config() const { return config_; }
 
+  /// Simulate one layer. `engine` computes the output (nullptr = the
+  /// calling thread's default engine). Throws esca::InternalError when the
+  /// SDMU's match count disagrees with the geometry's rulebook.
   LayerRunResult run_layer(const quant::QuantizedSubConv& layer,
-                           const quant::QSparseTensor& input, const RunOptions& options = {});
+                           const quant::QSparseTensor& input, const RunOptions& options = {},
+                           sparse::ComputeEngine* engine = nullptr);
 
   /// Energy accumulated across every run_layer() call (power-model input).
   const sim::EnergyMeter& energy() const { return energy_; }

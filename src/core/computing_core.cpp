@@ -1,81 +1,14 @@
 #include "core/computing_core.hpp"
 
-#include <algorithm>
-
-#include "common/check.hpp"
-
 namespace esca::core {
 
-std::int64_t ComputingUnit::mac(std::span<const std::int16_t> activations,
-                                std::span<const std::int8_t> weights) {
-  ESCA_ASSERT(activations.size() == weights.size(), "CU operand width mismatch");
-  std::int64_t acc = 0;
-  for (std::size_t i = 0; i < activations.size(); ++i) {
-    acc += static_cast<std::int64_t>(activations[i]) * static_cast<std::int64_t>(weights[i]);
-  }
-  return acc;
-}
+ComputingCore::ComputingCore(const ArchConfig& config, int in_channels, int out_channels)
+    : cycles_per_match_(config.cycles_per_match(in_channels, out_channels)),
+      macs_per_match_(static_cast<std::int64_t>(in_channels) * out_channels) {}
 
-ComputingCore::ComputingCore(const ArchConfig& config) : config_(config) {
-  config_.validate();
-}
-
-int ComputingCore::cycles_per_match(int in_channels, int out_channels) const {
-  ESCA_REQUIRE(in_channels > 0 && out_channels > 0, "channel counts must be positive");
-  const int ic_blocks = (in_channels + config_.ic_parallel - 1) / config_.ic_parallel;
-  const int oc_blocks = (out_channels + config_.oc_parallel - 1) / config_.oc_parallel;
-  return ic_blocks * oc_blocks;
-}
-
-GroupComputeResult ComputingCore::process_group(const MatchGroup& group,
-                                                const quant::QSparseTensor& input,
-                                                const quant::QuantizedSubConv& layer,
-                                                std::span<std::int64_t> acc) const {
-  const int cin = layer.in_channels();
-  const int cout = layer.out_channels();
-  ESCA_REQUIRE(acc.size() == static_cast<std::size_t>(cout), "accumulator size mismatch");
-  ESCA_REQUIRE(input.channels() == cin, "input channel mismatch");
-
-  GroupComputeResult result;
-  std::vector<std::int8_t> wcol(static_cast<std::size_t>(config_.ic_parallel));
-
-  for (const Match& match : group.matches) {
-    const auto activations = input.features(static_cast<std::size_t>(match.in_row));
-    // Loop unrolling of Fig. 8(a): IC blocks outer, OC blocks inner; each
-    // (N, M) block is one array pass == one cycle.
-    for (int n0 = 0; n0 < cin; n0 += config_.ic_parallel) {
-      const int nlen = std::min(config_.ic_parallel, cin - n0);
-      const auto act_block = activations.subspan(static_cast<std::size_t>(n0),
-                                                 static_cast<std::size_t>(nlen));
-      for (int m0 = 0; m0 < cout; m0 += config_.oc_parallel) {
-        const int mlen = std::min(config_.oc_parallel, cout - m0);
-        for (int m = 0; m < mlen; ++m) {
-          const int co = m0 + m;
-          // Gather the weight column W[n0..n0+nlen)[co] for this CU.
-          for (int n = 0; n < nlen; ++n) {
-            wcol[static_cast<std::size_t>(n)] = layer.weight(match.weight_index, n0 + n, co);
-          }
-          acc[static_cast<std::size_t>(co)] += ComputingUnit::mac(
-              act_block, std::span<const std::int8_t>(wcol.data(),
-                                                      static_cast<std::size_t>(nlen)));
-        }
-        ++result.cycles;
-        result.mac_ops += static_cast<std::int64_t>(nlen) * mlen;
-      }
-    }
-  }
-  return result;
-}
-
-void ComputingCore::writeback(std::span<const std::int64_t> acc,
-                              const quant::QuantizedSubConv& layer,
-                              std::span<std::int16_t> out) const {
-  const auto cout = static_cast<std::size_t>(layer.out_channels());
-  ESCA_REQUIRE(acc.size() == cout && out.size() == cout, "writeback size mismatch");
-  for (std::size_t co = 0; co < cout; ++co) {
-    out[co] = quant::requantize(acc[co], layer.requant_scale()[co], layer.requant_shift()[co],
-                                layer.relu());
-  }
+GroupComputeResult ComputingCore::time_group(const MatchGroup& group) const {
+  const auto matches = static_cast<std::int64_t>(group.matches.size());
+  return {matches * cycles_per_match_, matches * macs_per_match_};
 }
 
 }  // namespace esca::core

@@ -1,33 +1,26 @@
-// Computing core (paper §III.D, Fig. 8): a (m+1) x (n+1) MAC array plus an
-// accumulator.
+// Computing core timing (paper §III.D, Fig. 8): a (m+1) x (n+1) MAC array
+// plus an accumulator.
 //
 // Each cycle one match enters the array: the activations of ic_parallel
 // input channels are broadcast to all oc_parallel computing units; unit m
 // accumulates the partial sum of output channel m. Channel dimensions wider
 // than the array are tiled by the loop structure of Fig. 8(a):
 //   for match k in group: for N step ic_parallel: for M step oc_parallel.
-// Accumulation is 64-bit (DSP48 cascades); requantization uses the shared
-// quant::requantize primitive so results are bit-exact vs. the gold model.
+// so a match occupies the array for ArchConfig::cycles_per_match cycles and
+// performs Cin x Cout MACs.
+//
+// This model computes that timing only. The arithmetic itself (INT16 x INT8
+// products, 64-bit accumulation, the shared quant::requantize) is
+// sparse::ComputeEngine's, reached through quant::QuantizedSubConv::forward —
+// the one numerics path every backend shares.
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "core/arch_config.hpp"
 #include "core/match.hpp"
-#include "quant/qsubconv.hpp"
-#include "quant/qtensor.hpp"
 
 namespace esca::core {
-
-/// One computing unit: dot product of up to ic_parallel (activation, weight)
-/// pairs — the adder tree of Fig. 8(c).
-class ComputingUnit {
- public:
-  static std::int64_t mac(std::span<const std::int16_t> activations,
-                          std::span<const std::int8_t> weights);
-};
 
 struct GroupComputeResult {
   std::int64_t cycles{0};
@@ -36,27 +29,17 @@ struct GroupComputeResult {
 
 class ComputingCore {
  public:
-  explicit ComputingCore(const ArchConfig& config);
+  /// Timing of the array for one layer's channel shape.
+  ComputingCore(const ArchConfig& config, int in_channels, int out_channels);
 
-  int ic_parallel() const { return config_.ic_parallel; }
-  int oc_parallel() const { return config_.oc_parallel; }
+  int cycles_per_match() const { return cycles_per_match_; }
 
-  /// Cycles the array needs per match for a layer's channel geometry.
-  int cycles_per_match(int in_channels, int out_channels) const;
-
-  /// Accumulate one match group into `acc` (size out_channels, zeroed by the
-  /// caller). Returns cycle/op accounting for the group.
-  GroupComputeResult process_group(const MatchGroup& group, const quant::QSparseTensor& input,
-                                   const quant::QuantizedSubConv& layer,
-                                   std::span<std::int64_t> acc) const;
-
-  /// Requantize a finished group's accumulators into INT16 outputs
-  /// (accumulator + output stage of Fig. 9).
-  void writeback(std::span<const std::int64_t> acc, const quant::QuantizedSubConv& layer,
-                 std::span<std::int16_t> out) const;
+  /// Array-occupied cycles and effective MACs of one match group.
+  GroupComputeResult time_group(const MatchGroup& group) const;
 
  private:
-  ArchConfig config_;
+  int cycles_per_match_;
+  std::int64_t macs_per_match_;
 };
 
 }  // namespace esca::core

@@ -68,25 +68,4 @@ class LayerCompiler {
                                      const LayerCompileOptions& options = {});
 };
 
-/// Execute a compiled network layer by layer; verifies each layer's output
-/// against the integer gold model when `verify` is set (throws on mismatch).
-///
-/// @deprecated Thin shim kept for source compatibility — use
-/// runtime::Engine::run (runtime/engine.hpp), which drives any backend and
-/// reports per frame.
-[[deprecated("use runtime::Engine/Session instead")]]
-NetworkRunStats run_network(Accelerator& accelerator, const CompiledNetwork& network,
-                            bool verify = true);
-
-/// Steady-state batch execution: the first frame pays the weight DRAM
-/// transfers, subsequent frames run with weights resident on chip. Returns
-/// one aggregated stats entry per (layer, frame) in execution order.
-///
-/// @deprecated Thin shim kept for source compatibility — use
-/// runtime::Session (runtime/session.hpp), which carries weight residency
-/// across arbitrary batched submissions.
-[[deprecated("use runtime::Engine/Session instead")]]
-NetworkRunStats run_network_batch(Accelerator& accelerator, const CompiledNetwork& network,
-                                  int batch, bool verify = false);
-
 }  // namespace esca::core

@@ -15,6 +15,15 @@ namespace {
 /// entries model the generate/fetch skid buffer of the pipeline.
 constexpr std::size_t kFragmentQueueDepth = 2;
 
+/// Layer-input row of an active SRF center: the center's address in the
+/// tile's valid-data storage is its column's start plus the nonzeros below
+/// it in that column.
+std::int32_t center_row(const EncodedTile& tile, const Coord3& center) {
+  const int col = tile.column_of(center.x, center.y);
+  return tile.site_row(tile.column_start()[static_cast<std::size_t>(col)] +
+                       tile.column_prefix(col, center.z));
+}
+
 }  // namespace
 
 void SdmuStats::merge(const SdmuStats& other) {
@@ -33,8 +42,7 @@ Sdmu::Sdmu(const ArchConfig& config) : config_(config), state_gen_(config.kernel
   config_.validate();
 }
 
-std::vector<MatchGroup> Sdmu::match_tile(const EncodedTile& tile,
-                                         const sparse::SparseTensor& geometry) const {
+std::vector<MatchGroup> Sdmu::match_tile(const EncodedTile& tile) const {
   const int r = config_.kernel_radius();
   const Coord3 core = tile.core_size();
   std::vector<MatchGroup> groups;
@@ -44,9 +52,7 @@ std::vector<MatchGroup> Sdmu::match_tile(const EncodedTile& tile,
     for (int cy = r; cy < r + core.y; ++cy) {
       for (int cz = r; cz < r + core.z; ++cz) {
         if (MaskJudger::judge(tile, cx, cy, cz) != SrfState::kActive) continue;
-        const Coord3 global = tile.padded_origin() + Coord3{cx, cy, cz};
-        const std::int32_t out_row = geometry.find(global);
-        ESCA_CHECK(out_row >= 0, "active mask bit without a site at " << global);
+        const std::int32_t out_row = center_row(tile, {cx, cy, cz});
 
         MatchGroup group{out_row, {}};
         for (int dy = -r; dy <= r; ++dy) {
@@ -62,8 +68,7 @@ std::vector<MatchGroup> Sdmu::match_tile(const EncodedTile& tile,
   return groups;
 }
 
-SdmuResult Sdmu::simulate_tile(const EncodedTile& tile, const sparse::SparseTensor& geometry,
-                               int cc_cycles_per_match) const {
+SdmuResult Sdmu::simulate_tile(const EncodedTile& tile, int cc_cycles_per_match) const {
   ESCA_REQUIRE(cc_cycles_per_match >= 1, "cc_cycles_per_match must be >= 1");
   const int r = config_.kernel_radius();
   const int k2 = config_.k2();
@@ -178,9 +183,7 @@ SdmuResult Sdmu::simulate_tile(const EncodedTile& tile, const sparse::SparseTens
         room = fragment_queues[static_cast<std::size_t>(c)].size() < kFragmentQueueDepth;
       }
       if (room) {
-        const Coord3 global = tile.padded_origin() + judged_pos;
-        const std::int32_t out_row = geometry.find(global);
-        ESCA_CHECK(out_row >= 0, "active mask bit without a site at " << global);
+        const std::int32_t out_row = center_row(tile, judged_pos);
 
         GroupTicket ticket;
         ticket.out_row = out_row;

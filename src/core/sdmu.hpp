@@ -1,8 +1,14 @@
 // Sparse Data Matching Unit (paper §III.C, Figs. 6-7).
 //
-// Functional contract: for every active tile, emit exactly the match groups
-// the rulebook prescribes (tests assert this). Timing contract: a four-stage
-// pipeline —
+// The SDMU turns one encoded tile into match groups and times that work; it
+// depends on nothing but the tile's own encoding (index mask + valid-data
+// storage). Functional contract: for every active tile, emit exactly the
+// match groups the layer's rulebook prescribes (tests assert this, and
+// Accelerator::run_layer checks the match count against the rulebook on
+// every layer). The matches only drive timing and the buffer access
+// stream — the layer's outputs come from sparse::ComputeEngine.
+//
+// Timing contract: a four-stage pipeline —
 //   read masks   : one SRF's K^2 column masks per mask_read_cycles cycles
 //   judge state  : center bit decides active / skip (skip costs no fetch)
 //   generate     : per-column state index (A, B) -> address fragment (A-B, A)
@@ -21,7 +27,6 @@
 #include "core/encoding.hpp"
 #include "core/match.hpp"
 #include "core/state_index.hpp"
-#include "sparse/sparse_tensor.hpp"
 
 namespace esca::core {
 
@@ -50,15 +55,13 @@ class Sdmu {
   explicit Sdmu(const ArchConfig& config);
 
   /// Pure matching, no timing: all match groups of one tile in scan order.
-  /// `geometry` resolves output rows for SRF centers.
-  std::vector<MatchGroup> match_tile(const EncodedTile& tile,
-                                     const sparse::SparseTensor& geometry) const;
+  /// An SRF center's output row is read from the tile's own storage.
+  std::vector<MatchGroup> match_tile(const EncodedTile& tile) const;
 
   /// Cycle-accurate simulation of one tile.
   /// @param cc_cycles_per_match  consumption rate of the computing core
-  ///                             (ceil(Cin/icP) * ceil(Cout/ocP)).
-  SdmuResult simulate_tile(const EncodedTile& tile, const sparse::SparseTensor& geometry,
-                           int cc_cycles_per_match) const;
+  ///                             (ArchConfig::cycles_per_match).
+  SdmuResult simulate_tile(const EncodedTile& tile, int cc_cycles_per_match) const;
 
   const ArchConfig& config() const { return config_; }
 

@@ -1,7 +1,8 @@
 // Quantized submanifold convolution — the bit-exact integer gold model.
 //
-// This is the functional contract the simulated accelerator is verified
-// against: INT16 activations x INT8 weights, 64-bit accumulation (DSP48
+// This is the one numerics path every backend runs — the simulated
+// accelerator included, which only adds timing on top: INT16 activations x
+// INT8 weights, 64-bit accumulation (DSP48
 // accumulators are 48-bit; 64 models them with headroom), then a per-output-
 // channel requantization that folds BatchNorm and ReLU:
 //
@@ -9,9 +10,8 @@
 //   y        = acc * (s_in * s_w * bn_scale[co]) + bn_shift[co]   (float)
 //   q_out    = clamp(round(y / s_out)), ReLU clamps at 0 first
 //
-// The requantization arithmetic is implemented exactly once (requantize())
-// and shared by the gold model and the accelerator's computing core, so
-// "accelerator == gold" is a meaningful bit-exactness check.
+// The requantization arithmetic is implemented exactly once (requantize());
+// the scalar forward_reference and sparse::ComputeEngine both use it.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +37,7 @@ std::int16_t requantize(std::int64_t acc, float scale, float shift, bool relu);
 /// Weight quantization granularity. Per-tensor is what the paper deploys;
 /// per-output-channel is the standard INT8 accuracy upgrade — it changes
 /// only the requantization constants, so the accelerator datapath is
-/// untouched (the CC already requantizes per output channel).
+/// untouched (the output stage already requantizes per output channel).
 enum class WeightGranularity : std::uint8_t { kPerTensor, kPerChannel };
 
 class QuantizedSubConv {

@@ -4,9 +4,12 @@
 // calibration inputs + integer gold outputs) and executes Plans frame by
 // frame. Three implementations ship: the cycle-level ESCA simulator
 // (esca_backend), the dense-CNN-accelerator analytic model (dense_backend)
-// and the rulebook CPU gold path (cpu_backend). All of them report through
-// the same core::NetworkRunStats pathway, so tables/CSV from core/report
-// work unchanged for any backend.
+// and the rulebook CPU gold path (cpu_backend). They share one numerics
+// path: every layer output is computed by sparse::ComputeEngine over the
+// Plan's rulebook (quant::QuantizedSubConv::forward); the ESCA and dense
+// backends add a *timing* model on top, never a second copy of the
+// arithmetic. All of them report through the same core::NetworkRunStats
+// pathway, so tables/CSV from core/report work unchanged for any backend.
 //
 // Weight residency: backends that model an on-chip weight buffer keep the
 // last executed Plan's weights "resident" — later frames of the same Plan

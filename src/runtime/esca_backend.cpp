@@ -17,12 +17,14 @@ FrameReport EscaBackend::execute_frame(const Plan& plan, const std::string& fram
   hw_options.weights_resident = weights_resident;
   int layer_index = 0;
   for (const core::CompiledLayer& cl : plan.network.layers) {
-    // Plan-cached geometry: the site tensor (and its Morton index) was
-    // built once at compile time; no per-frame rebuild.
-    hw_options.geometry = cl.geometry != nullptr ? &cl.geometry->sites : nullptr;
+    // Plan-cached geometry: the rulebook and site tensor were built once at
+    // compile time; the output comes from this backend's compute engine,
+    // exactly as on the CPU backend.
+    hw_options.geometry = cl.geometry.get();
     obs::Span span("runtime.layer");
     span.arg("layer", layer_index++);
-    core::LayerRunResult result = accelerator_.run_layer(cl.layer, cl.input, hw_options);
+    core::LayerRunResult result =
+        accelerator_.run_layer(cl.layer, cl.input, hw_options, &compute_engine());
     // Roofline verdict + DRAM traffic on the span: a Perfetto timeline shows
     // which layers the memory model calls memory-bound without cross-
     // referencing the report tables.

@@ -2,7 +2,10 @@
 // runtime::Backend interface. This is the accelerator the paper builds —
 // zero removing, tile encoding, SDMU matching, 16x16 MAC array — with full
 // cycle/traffic statistics and an on-chip weight buffer, so batched frames
-// after the first skip the weight DRAM transfer.
+// after the first skip the weight DRAM transfer. The simulator computes
+// timing only: each layer's output comes from this backend's
+// sparse::ComputeEngine over the Plan-cached rulebook, the same numerics
+// path the CPU backend runs, so RunOptions::verify is a self-check here.
 #pragma once
 
 #include "core/accelerator.hpp"

@@ -62,7 +62,7 @@ struct RowSink {
     const bool violation = verdict == Verdict::kRegressed ||
                            verdict == Verdict::kMissingCurrent ||
                            verdict == Verdict::kSchemaMismatch;
-    row.gates = violation && (rule.stable || strict);
+    row.gates = verdict == Verdict::kUnmatchedRule || (violation && (rule.stable || strict));
     if (row.gates) {
       ++report.failures;
     } else if (violation || verdict == Verdict::kMissingBaseline) {
@@ -84,6 +84,7 @@ const char* to_string(Verdict v) {
     case Verdict::kMissingBaseline: return "new-in-current";
     case Verdict::kMissingCurrent: return "MISSING";
     case Verdict::kSchemaMismatch: return "SCHEMA-MISMATCH";
+    case Verdict::kUnmatchedRule: return "UNMATCHED-RULE";
   }
   return "?";
 }
@@ -166,6 +167,7 @@ CompareReport compare(const BenchHistory& baseline, const BenchHistory& current,
   for (const RunRecord& r : baseline.runs) base_points[point_id(r, config)] = &r;
   for (const RunRecord& r : current.runs) cur_points[point_id(r, config)] = &r;
 
+  std::vector<bool> rule_matched(config.metrics.size(), false);
   std::set<std::string> ids;
   for (const auto& [id, r] : base_points) ids.insert(id);
   for (const auto& [id, r] : cur_points) ids.insert(id);
@@ -177,11 +179,13 @@ CompareReport compare(const BenchHistory& baseline, const BenchHistory& current,
     const RunRecord* cur = cit == cur_points.end() ? nullptr : cit->second;
     const std::string& kind = (base != nullptr ? base : cur)->kind;
 
-    for (const MetricRule& rule : config.metrics) {
+    for (std::size_t r = 0; r < config.metrics.size(); ++r) {
+      const MetricRule& rule = config.metrics[r];
       if (rule.record != kind) continue;
       const json::Value* bv = base != nullptr ? base->field(rule.name) : nullptr;
       const json::Value* cv = cur != nullptr ? cur->field(rule.name) : nullptr;
       if (bv == nullptr && cv == nullptr) continue;  // rule targets other records
+      rule_matched[r] = true;
       if (cv == nullptr) {
         sink.add(id, rule, bv, nullptr, Verdict::kMissingCurrent,
                  std::numeric_limits<double>::quiet_NaN());
@@ -203,6 +207,12 @@ CompareReport compare(const BenchHistory& baseline, const BenchHistory& current,
         sink.add(id, rule, bv, cv, same ? Verdict::kOk : Verdict::kRegressed,
                  std::numeric_limits<double>::quiet_NaN());
       }
+    }
+  }
+  for (std::size_t r = 0; r < config.metrics.size(); ++r) {
+    if (!rule_matched[r]) {
+      sink.add("(no record)", config.metrics[r], nullptr, nullptr, Verdict::kUnmatchedRule,
+               std::numeric_limits<double>::quiet_NaN());
     }
   }
   return report;

@@ -6,7 +6,9 @@
 // returns a verdict table plus the gate decision. Stable metrics
 // (counter-derived: rule counts, DRAM bytes, stall totals) FAIL the gate on
 // violation; unstable ones (wall-clock on a noisy 1-core CI host) WARN —
-// `strict` promotes warnings to failures for quiet local machines.
+// `strict` promotes warnings to failures for quiet local machines. A rule
+// that matches no record in either document always FAILs: a gate that can
+// never see its metric is not a gate.
 #pragma once
 
 #include <cstddef>
@@ -26,6 +28,7 @@ enum class Verdict {
   kMissingBaseline,  ///< point/metric new in current (refresh will adopt it)
   kMissingCurrent,   ///< point/metric the bench stopped emitting
   kSchemaMismatch,   ///< history documents speak different schemas
+  kUnmatchedRule,    ///< a declared rule matches no record in either document
 };
 
 const char* to_string(Verdict v);

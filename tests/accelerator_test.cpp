@@ -133,6 +133,32 @@ TEST(AcceleratorTest, RejectsMismatchedLayer) {
   EXPECT_THROW((void)acc.run_layer(fx.layer, fx.input), InvalidArgument);
 }
 
+// The SDMU's match count is checked against the rulebook the output was
+// computed from; a rulebook missing one rule must trip that check.
+TEST(AcceleratorTest, RulebookEquivalenceCheckFires) {
+  Rng rng(150);
+  const Fixture fx = make_fixture(2, 3, rng);
+  const sparse::LayerGeometryPtr geometry = fx.input.submanifold_geometry(3);
+  sparse::LayerGeometry tampered = *geometry;
+  sparse::RuleBook rules(tampered.rulebook.kernel_volume());
+  bool dropped = false;
+  for (int o = 0; o < rules.kernel_volume(); ++o) {
+    for (const sparse::Rule& rule : tampered.rulebook.rules_for(o)) {
+      if (!dropped) {
+        dropped = true;
+        continue;
+      }
+      rules.add(o, rule);
+    }
+  }
+  ASSERT_TRUE(dropped);
+  tampered.rulebook = std::move(rules);
+
+  Accelerator acc{ArchConfig{}};
+  EXPECT_NO_THROW((void)acc.run_layer(fx.layer, fx.input, {.geometry = geometry.get()}));
+  EXPECT_THROW((void)acc.run_layer(fx.layer, fx.input, {.geometry = &tampered}), InternalError);
+}
+
 TEST(LayerCompilerTest, CompilesAllSubConvLayers) {
   Rng rng(148);
   const auto x = test::clustered_tensor({24, 24, 24}, 1, rng, 7, 250);
@@ -152,36 +178,6 @@ TEST(LayerCompilerTest, CompilesAllSubConvLayers) {
     EXPECT_GT(cl.gold_macs, 0);
   }
 }
-
-// Coverage for the deprecated run_network shim (the supported path is
-// runtime::Engine — see runtime_test.cpp).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(LayerCompilerTest, RunNetworkVerifiesBitExactness) {
-  Rng rng(149);
-  const auto x = test::clustered_tensor({24, 24, 24}, 1, rng, 7, 200);
-  nn::SSUNetConfig cfg;
-  cfg.base_planes = 4;
-  cfg.levels = 2;
-  cfg.reps_per_level = 1;
-  const nn::SSUNet net(cfg, 10);
-  std::vector<nn::TraceEntry> trace;
-  (void)net.forward(x, &trace);
-  const CompiledNetwork compiled = LayerCompiler::compile(trace);
-
-  Accelerator acc{ArchConfig{}};
-  const NetworkRunStats stats = run_network(acc, compiled, /*verify=*/true);
-  EXPECT_EQ(stats.layers.size(), compiled.layers.size());
-  EXPECT_GT(stats.total_cycles(), 0);
-  EXPECT_GT(stats.effective_gops(), 0.0);
-  EXPECT_GT(stats.total_seconds(), 0.0);
-  EXPECT_EQ(stats.total_mac_ops(), [&] {
-    std::int64_t n = 0;
-    for (const auto& l : stats.layers) n += l.mac_ops;
-    return n;
-  }());
-}
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace esca::core

@@ -26,7 +26,7 @@ std::set<M> sdmu_matches(const sparse::SparseTensor& geometry, const ArchConfig&
   const Sdmu sdmu(cfg);
   std::set<M> out;
   for (const auto& tile : tiles) {
-    for (const auto& g : sdmu.match_tile(tile, geometry)) {
+    for (const auto& g : sdmu.match_tile(tile)) {
       for (const auto& m : g.matches) {
         EXPECT_TRUE(out.insert({m.in_row, m.weight_index, m.out_row}).second);
       }

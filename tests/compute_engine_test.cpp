@@ -178,6 +178,23 @@ TEST(ComputeEngineTest, EmptyRulebookAndSingleChannelEdges) {
   EXPECT_EQ(out.feature(0, 0), 2.0F * input.feature(0, 0));
 }
 
+// INT16-max activations times INT8-min weights over every kernel offset
+// accumulate exactly in the INT64 accumulator at any thread count.
+TEST(ComputeEngineTest, ExtremeQuantizedOperandsDoNotOverflow) {
+  constexpr int kCin = 16;
+  constexpr int kVolume = 27;
+  RuleBook rb(kVolume);
+  for (int o = 0; o < kVolume; ++o) rb.add(o, Rule{0, 0});
+  const std::vector<std::int16_t> acts(kCin, 32767);
+  const std::vector<std::int8_t> weights(static_cast<std::size_t>(kVolume) * kCin, -127);
+  for (const int threads : {1, 4}) {
+    ComputeEngine engine{ComputeOptions{.threads = threads}};
+    const auto acc = engine.accumulate(acts, kCin, BlockedRuleBook(rb, 1), weights, 1);
+    ASSERT_EQ(acc.size(), 1U);
+    EXPECT_EQ(acc[0], -27LL * kCin * 32767 * 127);
+  }
+}
+
 TEST(ComputeEngineTest, MismatchedBlockedBookIsRejected) {
   Rng rng(78);
   const SparseTensor input = dense_rows_tensor(8, 2, rng);

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/accelerator.hpp"
 #include "core/computing_core.hpp"
 #include "core/sdmu.hpp"
 #include "core/zero_removing.hpp"
@@ -13,27 +14,15 @@
 namespace esca::core {
 namespace {
 
-TEST(ComputingUnitTest, DotProduct) {
-  const std::int16_t acts[] = {100, -200, 3};
-  const std::int8_t weights[] = {2, 1, -50};
-  EXPECT_EQ(ComputingUnit::mac(acts, weights), 100 * 2 - 200 * 1 - 3 * 50);
-}
-
-TEST(ComputingUnitTest, ExtremesDoNotOverflow) {
-  std::vector<std::int16_t> acts(16, 32767);
-  std::vector<std::int8_t> weights(16, -127);
-  EXPECT_EQ(ComputingUnit::mac(acts, weights), -16LL * 32767 * 127);
-}
-
 TEST(ComputingCoreTest, CyclesPerMatchBlocks) {
   ArchConfig cfg;  // 16 x 16
-  const ComputingCore cc(cfg);
-  EXPECT_EQ(cc.cycles_per_match(16, 16), 1);
-  EXPECT_EQ(cc.cycles_per_match(1, 16), 1);
-  EXPECT_EQ(cc.cycles_per_match(17, 16), 2);
-  EXPECT_EQ(cc.cycles_per_match(32, 32), 4);
-  EXPECT_EQ(cc.cycles_per_match(48, 16), 3);
-  EXPECT_THROW((void)cc.cycles_per_match(0, 16), InvalidArgument);
+  EXPECT_EQ(cfg.cycles_per_match(16, 16), 1);
+  EXPECT_EQ(cfg.cycles_per_match(1, 16), 1);
+  EXPECT_EQ(cfg.cycles_per_match(17, 16), 2);
+  EXPECT_EQ(cfg.cycles_per_match(32, 32), 4);
+  EXPECT_EQ(cfg.cycles_per_match(48, 16), 3);
+  EXPECT_EQ(ComputingCore(cfg, 48, 16).cycles_per_match(), 3);
+  EXPECT_THROW((void)cfg.cycles_per_match(0, 16), InvalidArgument);
 }
 
 struct LayerFixture {
@@ -57,6 +46,9 @@ LayerFixture make_fixture(int cin, int cout, Rng& rng) {
   return {std::move(layer), std::move(qx), std::move(gold)};
 }
 
+// The simulator takes its outputs from the compute engine; the SDMU's match
+// groups must describe exactly that computation. Accumulating each group's
+// matches by hand and requantizing reproduces the accelerator's output row.
 TEST(ComputingCoreTest, GroupAccumulationMatchesGold) {
   Rng rng(131);
   const LayerFixture fx = make_fixture(3, 5, rng);
@@ -69,18 +61,28 @@ TEST(ComputingCoreTest, GroupAccumulationMatchesGold) {
   const TileEncoder encoder(cfg);
   const auto tiles = encoder.encode(geometry, grid, nullptr);
   const Sdmu sdmu(cfg);
-  const ComputingCore cc(cfg);
+  Accelerator acc{cfg};
+  const quant::QSparseTensor output = acc.run_layer(fx.layer, fx.input).output;
+  ASSERT_TRUE(output == fx.gold);
 
-  std::vector<std::int64_t> acc(5);
   for (const EncodedTile& tile : tiles) {
-    for (const MatchGroup& group : sdmu.match_tile(tile, geometry)) {
-      std::fill(acc.begin(), acc.end(), 0);
-      (void)cc.process_group(group, fx.input, fx.layer, acc);
-      std::vector<std::int16_t> out(5);
-      cc.writeback(acc, fx.layer, out);
-      const auto gold_row = fx.gold.features(static_cast<std::size_t>(group.out_row));
+    for (const MatchGroup& group : sdmu.match_tile(tile)) {
+      std::vector<std::int64_t> acc_row(5, 0);
+      for (const Match& m : group.matches) {
+        const auto act = fx.input.features(static_cast<std::size_t>(m.in_row));
+        for (int co = 0; co < 5; ++co) {
+          for (int ci = 0; ci < 3; ++ci) {
+            acc_row[static_cast<std::size_t>(co)] +=
+                static_cast<std::int64_t>(act[static_cast<std::size_t>(ci)]) *
+                fx.layer.weight(m.weight_index, ci, co);
+          }
+        }
+      }
+      const auto out_row = output.features(static_cast<std::size_t>(group.out_row));
       for (int c = 0; c < 5; ++c) {
-        EXPECT_EQ(out[static_cast<std::size_t>(c)], gold_row[static_cast<std::size_t>(c)])
+        const auto ci = static_cast<std::size_t>(c);
+        EXPECT_EQ(out_row[ci], quant::requantize(acc_row[ci], fx.layer.requant_scale()[ci],
+                                                 fx.layer.requant_shift()[ci], fx.layer.relu()))
             << "out_row " << group.out_row << " channel " << c;
       }
     }
@@ -88,50 +90,49 @@ TEST(ComputingCoreTest, GroupAccumulationMatchesGold) {
 }
 
 TEST(ComputingCoreTest, CycleAndOpAccounting) {
-  Rng rng(132);
   ArchConfig cfg;
   cfg.ic_parallel = 4;
   cfg.oc_parallel = 4;
-  const LayerFixture fx = make_fixture(6, 5, rng);  // 2 IC blocks x 2 OC blocks
+  const ComputingCore cc(cfg, 6, 5);  // 2 IC blocks x 2 OC blocks
+  EXPECT_EQ(cc.cycles_per_match(), 4);
 
   MatchGroup group{0, {}};
   group.matches.push_back(Match{0, 13, 4, 0});
   group.matches.push_back(Match{0, 14, 5, 0});
 
-  const ComputingCore cc(cfg);
-  std::vector<std::int64_t> acc(5);
-  const GroupComputeResult r = cc.process_group(group, fx.input, fx.layer, acc);
-  EXPECT_EQ(r.cycles, 2 * cc.cycles_per_match(6, 5));
+  const GroupComputeResult r = cc.time_group(group);
+  EXPECT_EQ(r.cycles, 2 * cc.cycles_per_match());
   EXPECT_EQ(r.mac_ops, 2LL * 6 * 5);
+  EXPECT_EQ(cc.time_group(MatchGroup{0, {}}).cycles, 0);
 }
 
+// Outputs go through the shared requantize primitive: they equal the scalar
+// reference forward, which requantizes with quant::requantize.
 TEST(ComputingCoreTest, WritebackUsesSharedRequantize) {
   Rng rng(133);
   const LayerFixture fx = make_fixture(2, 3, rng);
-  const ArchConfig cfg;
-  const ComputingCore cc(cfg);
-  const std::vector<std::int64_t> acc{1000, -500, 0};
-  std::vector<std::int16_t> out(3);
-  cc.writeback(acc, fx.layer, out);
-  for (int c = 0; c < 3; ++c) {
-    const auto ci = static_cast<std::size_t>(c);
-    EXPECT_EQ(out[ci], quant::requantize(acc[ci], fx.layer.requant_scale()[ci],
-                                         fx.layer.requant_shift()[ci], fx.layer.relu()));
-  }
+  Accelerator acc{ArchConfig{}};
+  const quant::QSparseTensor output = acc.run_layer(fx.layer, fx.input).output;
+  const auto geometry = fx.input.submanifold_geometry(3);
+  EXPECT_TRUE(output == fx.layer.forward_reference(fx.input, geometry->rulebook));
 }
 
 TEST(ComputingCoreTest, SizeMismatchesThrow) {
   Rng rng(134);
   const LayerFixture fx = make_fixture(2, 3, rng);
   const ArchConfig cfg;
-  const ComputingCore cc(cfg);
-  std::vector<std::int64_t> wrong_acc(4);
-  MatchGroup group{0, {Match{0, 13, 4, 0}}};
-  EXPECT_THROW((void)cc.process_group(group, fx.input, fx.layer, wrong_acc),
+  EXPECT_THROW(ComputingCore(cfg, 0, 3), InvalidArgument);
+  EXPECT_THROW(ComputingCore(cfg, 2, 0), InvalidArgument);
+
+  Accelerator acc{cfg};
+  const LayerFixture wide = make_fixture(4, 3, rng);
+  EXPECT_THROW((void)acc.run_layer(fx.layer, wide.input), InvalidArgument);
+  // A precompiled geometry over another coordinate set is rejected.
+  sparse::SparseTensor one_site(fx.input.spatial_extent(), 1);
+  one_site.add_site(fx.input.coord(0));
+  const auto other = sparse::make_submanifold_geometry(one_site, 3);
+  EXPECT_THROW((void)acc.run_layer(fx.layer, fx.input, {.geometry = other.get()}),
                InvalidArgument);
-  std::vector<std::int64_t> acc(3);
-  std::vector<std::int16_t> wrong_out(2);
-  EXPECT_THROW(cc.writeback(acc, fx.layer, wrong_out), InvalidArgument);
 }
 
 }  // namespace

@@ -118,36 +118,6 @@ TEST(FailureInjectionTest, KernelArchMismatchRejected) {
   EXPECT_THROW((void)acc.run_layer(fx.layer, fx.input), InvalidArgument);
 }
 
-// This test intentionally exercises the deprecated run_network_batch shim:
-// its behavior must stay intact until removal (the supported path is
-// runtime::Engine/Session, which every other test here now uses).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(DeprecatedShimTest, RunNetworkBatchStillChargesWeightsOnce) {
-  Rng rng(207);
-  const auto x = test::clustered_tensor({16, 16, 16}, 1, rng, 4, 60);
-  nn::SSUNetConfig cfg;
-  cfg.base_planes = 4;
-  cfg.levels = 1;
-  cfg.reps_per_level = 1;
-  const nn::SSUNet net(cfg, 4);
-  std::vector<nn::TraceEntry> trace;
-  (void)net.forward(x, &trace);
-  const CompiledNetwork compiled = LayerCompiler::compile(trace);
-  Accelerator acc{ArchConfig{}};
-  const NetworkRunStats stats = run_network_batch(acc, compiled, 2, /*verify=*/true);
-  ASSERT_EQ(stats.layers.size(), compiled.layers.size() * 2);
-  const std::size_t per_frame = compiled.layers.size();
-  for (std::size_t i = 0; i < per_frame; ++i) {
-    EXPECT_EQ(stats.layers[i].dram_bytes_in - stats.layers[per_frame + i].dram_bytes_in,
-              compiled.layers[i].layer.weight_bytes())
-        << "layer " << i;
-  }
-}
-
-#pragma GCC diagnostic pop
-
 TEST(FailureInjectionTest, BatchRequiresPositiveCount) {
   EXPECT_THROW((void)runtime::FrameBatch::replay(0), InvalidArgument);
 }

@@ -38,7 +38,7 @@ TEST_P(KernelSizeProperty, SdmuMatchesEqualRulebook) {
   using M = std::tuple<std::int32_t, std::int16_t, std::int32_t>;
   std::set<M> produced;
   for (const auto& tile : tiles) {
-    for (const auto& g : sdmu.match_tile(tile, geometry)) {
+    for (const auto& g : sdmu.match_tile(tile)) {
       for (const auto& m : g.matches) {
         EXPECT_TRUE(produced.insert({m.in_row, m.weight_index, m.out_row}).second);
       }

@@ -47,18 +47,6 @@ TEST(UnitsTest, SubKiloRates) {
   EXPECT_EQ(units::seconds(2.5e-8), "25.0 ns");
 }
 
-TEST(HistogramTest, BucketEdgesAndRendering) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(4), 8.0);
-  h.add(1.0);
-  h.add(9.0);
-  const std::string s = h.to_string("match-group sizes");
-  EXPECT_NE(s.find("match-group sizes"), std::string::npos);
-  EXPECT_NE(s.find("n=2"), std::string::npos);
-}
-
 TEST(OverlapDramTest, OverlapNeverSlowerThanSerial) {
   Rng rng(901);
   const auto x = test::clustered_tensor({24, 24, 24}, 8, rng, 6, 250);

@@ -57,11 +57,23 @@ TEST(PerfModelTest, TileSizeMovesTheScanBoundCrossover) {
 
 TEST(PerfModelTest, DramSecondsPositiveAndMonotonic) {
   const PerfModel model{ArchConfig{}};
-  const double small = model.dram_seconds(1 << 10, 1 << 10);
-  const double big = model.dram_seconds(1 << 20, 1 << 20);
+  sim::mem::LayerTrafficInput small_in;
+  small_in.active_tiles = 1;
+  small_in.stored_sites = 1 << 6;
+  small_in.core_sites = 1 << 6;
+  small_in.matches = 1 << 8;
+  small_in.in_channels = 16;
+  small_in.out_channels = 16;
+  small_in.weight_bytes = 27 * 16 * 16;
+  sim::mem::LayerTrafficInput big_in = small_in;
+  big_in.active_tiles = 1 << 6;
+  big_in.stored_sites = 1 << 14;
+  big_in.core_sites = 1 << 14;
+  const double small = model.dram_seconds(model.layer_traffic(small_in));
+  const double big = model.dram_seconds(model.layer_traffic(big_in));
   EXPECT_GT(small, 0.0);
   EXPECT_GT(big, small);
-  EXPECT_DOUBLE_EQ(model.dram_seconds(0, 0), 0.0);
+  EXPECT_DOUBLE_EQ(model.dram_seconds(sim::mem::LayerTraffic{}), 0.0);
 }
 
 TEST(PerfModelTest, RejectsBadInputs) {

@@ -45,7 +45,7 @@ TEST_P(SdmuRulebookProperty, MatchesEqualRulebook) {
   using M = std::tuple<std::int32_t, std::int16_t, std::int32_t>;
   std::set<M> produced;
   for (const auto& tl : tiles) {
-    for (const auto& g : sdmu.match_tile(tl, geometry)) {
+    for (const auto& g : sdmu.match_tile(tl)) {
       for (const auto& m : g.matches) {
         EXPECT_TRUE(produced.insert({m.in_row, m.weight_index, m.out_row}).second)
             << "duplicate match emitted";
@@ -177,7 +177,7 @@ TEST_P(SdmuTimingProperty, CyclesAtLeastScanAndDrainBounds) {
   const auto tiles = core::TileEncoder(cfg).encode(geometry, grid, nullptr);
   const core::Sdmu sdmu(cfg);
   for (const auto& tile : tiles) {
-    const auto r = sdmu.simulate_tile(tile, geometry, ccpm);
+    const auto r = sdmu.simulate_tile(tile, ccpm);
     EXPECT_GE(r.stats.cycles, tile.core_size().volume() * cfg.mask_read_cycles);
     EXPECT_GE(r.stats.cycles, r.stats.matches * ccpm);
   }

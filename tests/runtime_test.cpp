@@ -131,6 +131,16 @@ TEST(RuntimeSessionTest, WeightDramChargedOnlyOnFirstFrame) {
   EXPECT_TRUE(report.frames[1].weights_resident);
   EXPECT_EQ(report.frames[0].dram_bytes_in() - report.frames[1].dram_bytes_in(),
             plan.weight_bytes());
+  // Layer by layer, the resident frame saves exactly that layer's weights.
+  const auto& cold_layers = report.frames[0].stats.layers;
+  const auto& warm_layers = report.frames[1].stats.layers;
+  ASSERT_EQ(cold_layers.size(), plan.layer_count());
+  ASSERT_EQ(warm_layers.size(), plan.layer_count());
+  for (std::size_t i = 0; i < plan.layer_count(); ++i) {
+    EXPECT_EQ(cold_layers[i].dram_bytes_in - warm_layers[i].dram_bytes_in,
+              plan.network.layers[i].layer.weight_bytes())
+        << "layer " << i;
+  }
 
   // Residency survives across submit() calls: a later batch is still free
   // of weight traffic.

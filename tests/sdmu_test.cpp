@@ -63,7 +63,7 @@ TEST(SdmuMatchTest, GroupsEqualRulebookProperty) {
 
     std::vector<MatchGroup> groups;
     for (const EncodedTile& tile : p.tiles) {
-      auto g = sdmu.match_tile(tile, p.geometry);
+      auto g = sdmu.match_tile(tile);
       groups.insert(groups.end(), g.begin(), g.end());
     }
     EXPECT_EQ(all_matches(groups), rulebook_matches(p.geometry, cfg.kernel_size))
@@ -84,7 +84,7 @@ TEST(SdmuMatchTest, GroupsEqualRulebookAcrossTileBoundaries) {
   const Sdmu sdmu(cfg);
   std::vector<MatchGroup> groups;
   for (const EncodedTile& tile : p.tiles) {
-    auto g = sdmu.match_tile(tile, p.geometry);
+    auto g = sdmu.match_tile(tile);
     groups.insert(groups.end(), g.begin(), g.end());
   }
   EXPECT_EQ(all_matches(groups), rulebook_matches(p.geometry, 3));
@@ -97,8 +97,8 @@ TEST(SdmuSimulateTest, SameMatchesAsFunctionalPath) {
   const Prepared p = prepare(t, cfg);
   const Sdmu sdmu(cfg);
   for (const EncodedTile& tile : p.tiles) {
-    const auto functional = sdmu.match_tile(tile, p.geometry);
-    const SdmuResult timed = sdmu.simulate_tile(tile, p.geometry, 1);
+    const auto functional = sdmu.match_tile(tile);
+    const SdmuResult timed = sdmu.simulate_tile(tile, 1);
     EXPECT_EQ(all_matches(timed.groups), all_matches(functional));
     // Consumption preserves group order (scan order of active SRFs).
     ASSERT_EQ(timed.groups.size(), functional.size());
@@ -116,7 +116,7 @@ TEST(SdmuSimulateTest, StatsAreCoherent) {
   const Sdmu sdmu(cfg);
 
   for (const EncodedTile& tile : p.tiles) {
-    const SdmuResult r = sdmu.simulate_tile(tile, p.geometry, 1);
+    const SdmuResult r = sdmu.simulate_tile(tile, 1);
     EXPECT_EQ(r.stats.srf_total, tile.core_size().volume());
     EXPECT_EQ(r.stats.srf_active + r.stats.srf_skipped, r.stats.srf_total);
     EXPECT_EQ(r.stats.srf_active, tile.core_active_count());
@@ -139,8 +139,8 @@ TEST(SdmuSimulateTest, SlowerCcIncreasesCycles) {
   const Sdmu sdmu(cfg);
   ASSERT_FALSE(p.tiles.empty());
   const EncodedTile& tile = p.tiles.front();
-  const auto fast = sdmu.simulate_tile(tile, p.geometry, 1);
-  const auto slow = sdmu.simulate_tile(tile, p.geometry, 4);
+  const auto fast = sdmu.simulate_tile(tile, 1);
+  const auto slow = sdmu.simulate_tile(tile, 4);
   EXPECT_GE(slow.stats.cycles, fast.stats.cycles);
   // With ccpm=4 the drain takes at least 4 cycles per match.
   EXPECT_GE(slow.stats.cycles, slow.stats.matches * 4);
@@ -157,8 +157,8 @@ TEST(SdmuSimulateTest, ShallowFifoStillCorrectJustSlower) {
   const Sdmu sdmu_deep(deep);
   const Sdmu sdmu_shallow(shallow);
   for (const EncodedTile& tile : pd.tiles) {
-    const auto a = sdmu_deep.simulate_tile(tile, pd.geometry, 2);
-    const auto b = sdmu_shallow.simulate_tile(tile, pd.geometry, 2);
+    const auto a = sdmu_deep.simulate_tile(tile, 2);
+    const auto b = sdmu_shallow.simulate_tile(tile, 2);
     EXPECT_EQ(all_matches(a.groups), all_matches(b.groups));
     EXPECT_GE(b.stats.cycles, a.stats.cycles);
   }
@@ -172,7 +172,7 @@ TEST(SdmuSimulateTest, EmptyTileCostsOnlyScan) {
   const Prepared p = prepare(t, cfg);
   ASSERT_EQ(p.tiles.size(), 1U);
   const Sdmu sdmu(cfg);
-  const auto r = sdmu.simulate_tile(p.tiles.front(), p.geometry, 1);
+  const auto r = sdmu.simulate_tile(p.tiles.front(), 1);
   EXPECT_EQ(r.stats.srf_active, 1);
   EXPECT_EQ(r.stats.srf_skipped, 511);
   EXPECT_EQ(r.stats.matches, 1);
@@ -203,7 +203,7 @@ TEST(SdmuSimulateTest, RejectsBadCcRate) {
   const Prepared p = prepare(t, cfg);
   const Sdmu sdmu(cfg);
   ASSERT_FALSE(p.tiles.empty());
-  EXPECT_THROW((void)sdmu.simulate_tile(p.tiles.front(), p.geometry, 0), InvalidArgument);
+  EXPECT_THROW((void)sdmu.simulate_tile(p.tiles.front(), 0), InvalidArgument);
 }
 
 }  // namespace

@@ -2,37 +2,12 @@
 
 #include "common/check.hpp"
 #include "sim/bram.hpp"
-#include "sim/clock.hpp"
-#include "sim/counters.hpp"
 #include "sim/dram.hpp"
 #include "sim/energy.hpp"
 #include "sim/fifo.hpp"
 
 namespace esca::sim {
 namespace {
-
-TEST(ClockTest, CycleTimeConversion) {
-  Clock clk(270e6);
-  EXPECT_DOUBLE_EQ(clk.period_s(), 1.0 / 270e6);
-  EXPECT_NEAR(clk.cycles_to_ms(270000), 1.0, 1e-9);
-  EXPECT_EQ(clk.seconds_to_cycles(1.0 / 270e6), 1);
-  EXPECT_EQ(clk.seconds_to_cycles(0.0), 0);
-}
-
-TEST(ClockTest, AdvanceAndReset) {
-  Clock clk(1e6);
-  clk.advance(10);
-  clk.advance();
-  EXPECT_EQ(clk.now(), 11);
-  clk.reset();
-  EXPECT_EQ(clk.now(), 0);
-  EXPECT_THROW(clk.advance(-1), InvalidArgument);
-}
-
-TEST(ClockTest, RejectsNonPositiveFrequency) {
-  EXPECT_THROW(Clock(0.0), InvalidArgument);
-  EXPECT_THROW(Clock(-1.0), InvalidArgument);
-}
 
 TEST(FifoTest, PushPopOrder) {
   Fifo<int> f(4);
@@ -126,23 +101,6 @@ TEST(DramTest, RejectsBadConfig) {
   EXPECT_THROW(DramModel(DramConfig{1e9, 1.5, 0.0}), InvalidArgument);
   DramModel ok;
   EXPECT_THROW(ok.transfer_seconds(-1), InvalidArgument);
-}
-
-TEST(CountersTest, AddGetMerge) {
-  CounterSet a;
-  a.add("x");
-  a.add("x", 2);
-  a.add("y", 10);
-  EXPECT_EQ(a.get("x"), 3);
-  EXPECT_EQ(a.get("missing"), 0);
-  CounterSet b;
-  b.add("x", 5);
-  a.merge(b);
-  EXPECT_EQ(a.get("x"), 8);
-  EXPECT_TRUE(a.has("y"));
-  const auto sorted = a.sorted();
-  ASSERT_EQ(sorted.size(), 2U);
-  EXPECT_EQ(sorted[0].first, "x");
 }
 
 TEST(EnergyTest, AccumulatesComponents) {

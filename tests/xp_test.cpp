@@ -16,6 +16,7 @@
 
 #include "bench_util.hpp"
 #include "common/json.hpp"
+#include "sparse/geometry.hpp"
 #include "xp/xp.hpp"
 
 namespace esca::xp {
@@ -140,6 +141,28 @@ TEST(BenchLineTest, ObsSnapshotFlattensCountersGaugesAndHistogramCounts) {
   EXPECT_DOUBLE_EQ(rec.number("depth"), 2.5);
   EXPECT_DOUBLE_EQ(rec.number("lat_seconds_count"), 7.0);
   EXPECT_EQ(rec.field("lat_seconds_p50"), nullptr);  // quantiles never gated
+}
+
+TEST(BenchLineTest, ObsSnapshotFoldsInAnExtraRegistry) {
+  // Per-instance registries (a serve::Server's telemetry) ride on the same
+  // BENCHOBS line as the global registry, so rules over them can match.
+  obs::Registry local;
+  local.counter("esca_demo_local_total").inc(3);
+  (void)sparse::geometry_builds_counter();  // a global-registry cell
+  ASSERT_EQ(setenv("ESCA_BENCH_OBS", "1", 1), 0);
+  ::testing::internal::CaptureStdout();
+  bench::emit_obs_snapshot(&local);
+  std::fflush(stdout);
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  unsetenv("ESCA_BENCH_OBS");
+
+  const std::string line = out.substr(0, out.find('\n'));
+  RunRecord rec;
+  std::string error;
+  ASSERT_TRUE(parse_obs_line(line, rec, error)) << error << ": " << line;
+  EXPECT_DOUBLE_EQ(rec.number("esca_demo_local_total"), 3.0);
+  // The global registry's cells are still there.
+  EXPECT_NE(rec.field("esca_geometry_builds_total"), nullptr);
 }
 
 // --- history serialization ----------------------------------------------------
@@ -401,6 +424,27 @@ TEST(CompareTest, DocumentSchemaMismatchIsASingleGatingRow) {
   EXPECT_FALSE(report.pass());
   ASSERT_EQ(report.rows.size(), 1U);
   EXPECT_EQ(report.rows[0].verdict, Verdict::kSchemaMismatch);
+}
+
+TEST(CompareTest, RuleMatchingNoRecordFailsTheGate) {
+  // A declared metric that no record in either document carries can never
+  // be judged. Skipping it would leave a gate that cannot fire, so the rule
+  // itself fails — even when it is an unstable (warn-only) metric.
+  ExperimentConfig cfg = demo_config();
+  MetricRule ghost;
+  ghost.name = "esca_ghost_total";
+  ghost.direction = Direction::kEqual;
+  ghost.record = kRecordObs;
+  cfg.metrics.push_back(ghost);
+  const BenchHistory h = demo_history(10.0, 2.0, 4096);
+  const CompareReport report = compare(h, h, cfg);
+  EXPECT_FALSE(report.pass());
+  EXPECT_EQ(report.failures, 1U);
+  EXPECT_EQ(report.compared, 4U);
+  ASSERT_FALSE(report.rows.empty());
+  EXPECT_EQ(report.rows.back().verdict, Verdict::kUnmatchedRule);
+  EXPECT_EQ(report.rows.back().metric, "esca_ghost_total");
+  EXPECT_NE(report.table("t").find("UNMATCHED-RULE"), std::string::npos);
 }
 
 TEST(CompareTest, PointIdentityJoinsOnArgsAndKeyFields) {
