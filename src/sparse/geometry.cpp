@@ -1,59 +1,25 @@
 #include "sparse/geometry.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <exception>
-#include <thread>
 
 #include "common/check.hpp"
-#include "common/env.hpp"
+#include "common/executor.hpp"
 #include "obs/trace.hpp"
 #include "voxel/morton.hpp"
-
-// Compile-time default shard count: -1 = auto (environment override, then
-// hardware concurrency); 0 = hard-disable thread spawning (shard bodies run
-// inline); N > 0 = default to N shards. Set via -DESCA_GEOMETRY_THREADS=<n>.
-#ifndef ESCA_GEOMETRY_THREADS
-#define ESCA_GEOMETRY_THREADS -1
-#endif
 
 namespace esca::sparse {
 
 namespace {
 
-constexpr bool kThreadingEnabled = (ESCA_GEOMETRY_THREADS != 0);
-constexpr int kMaxShards = 64;
-
-int default_shards() {
-  static const int cached = [] {
-    // "0" means serial, like the compile-time knob; garbage and negative
-    // values warn and fall through (common/env strict parsing).
-    if (const auto env = env_int("ESCA_GEOMETRY_THREADS", 0)) {
-      if (*env == 0) return 1;
-      return static_cast<int>(std::min<long long>(*env, kMaxShards));
-    }
-    if constexpr (ESCA_GEOMETRY_THREADS > 0) {
-      return std::min(static_cast<int>(ESCA_GEOMETRY_THREADS), kMaxShards);
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return static_cast<int>(std::clamp(hw, 1U, 8U));
-  }();
-  return cached;
-}
-
 /// Concatenate per-shard per-offset rule lists into the rulebook, shard
 /// order preserved (== the serial emission order).
 void merge_shards(std::vector<std::vector<std::vector<Rule>>>& shard_rules, RuleBook& rulebook) {
-  const int volume = rulebook.kernel_volume();
-  for (int o = 0; o < volume; ++o) {
-    for (auto& per_offset : shard_rules) {
-      for (const Rule& r : per_offset[static_cast<std::size_t>(o)]) rulebook.add(o, r);
-    }
+  for (int o = 0; o < rulebook.kernel_volume(); ++o) {
+    rulebook.assign(o, concat_shards(shard_rules, static_cast<std::size_t>(o)));
   }
 }
 
-/// Sites below which an extra default shard isn't worth a thread spawn.
+/// Sites below which an extra default shard isn't worth a fan-out.
 constexpr std::size_t kMinSitesPerShard = 2048;
 
 /// One candidate rule of a strided/inverse build: input site `in_row`
@@ -142,13 +108,6 @@ std::uint64_t geometry_transposes() {
   return static_cast<std::uint64_t>(geometry_transposes_counter().value());
 }
 
-int resolve_geometry_shards(int requested) {
-  if (requested > 0) return std::min(requested, kMaxShards);
-  return default_shards();
-}
-
-bool geometry_threading_enabled() { return kThreadingEnabled; }
-
 GeometryShardRange geometry_shard_range(std::size_t n, int shards, int s) {
   const std::size_t per = n / static_cast<std::size_t>(shards);
   const std::size_t rem = n % static_cast<std::size_t>(shards);
@@ -158,34 +117,11 @@ GeometryShardRange geometry_shard_range(std::size_t n, int shards, int s) {
 }
 
 int pick_geometry_shards(const GeometryOptions& options, std::size_t n) {
-  int resolved = resolve_geometry_shards(options.shards);
+  int resolved = resolve_partitions(options.shards);
   if (options.shards <= 0) {
     resolved = std::min<int>(resolved, static_cast<int>(n / kMinSitesPerShard) + 1);
   }
   return std::max(1, std::min<int>(resolved, static_cast<int>(std::max<std::size_t>(n, 1))));
-}
-
-void run_geometry_sharded(int shards, const std::function<void(int)>& fn) {
-  if (!kThreadingEnabled || shards <= 1) {
-    for (int s = 0; s < shards; ++s) fn(s);
-    return;
-  }
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(shards));
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(shards) - 1);
-  auto guarded = [&](int s) {
-    try {
-      fn(s);
-    } catch (...) {
-      errors[static_cast<std::size_t>(s)] = std::current_exception();
-    }
-  };
-  for (int s = 1; s < shards; ++s) workers.emplace_back(guarded, s);
-  guarded(0);
-  for (std::thread& w : workers) w.join();
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
 }
 
 LayerGeometry build_submanifold_geometry(const SparseTensor& input, int kernel_size,
@@ -208,31 +144,62 @@ LayerGeometry build_submanifold_geometry(const SparseTensor& input, int kernel_s
   const auto entries = index.entries();
   const Coord3 extent = input.spatial_extent();
 
-  const int shards = pick_geometry_shards(options, entries.size());
-  std::vector<std::vector<std::vector<Rule>>> shard_rules(
-      static_cast<std::size_t>(shards),
-      std::vector<std::vector<Rule>>(static_cast<std::size_t>(volume)));
+  // The rulebook is symmetric: offset volume-1-o is the negation of offset
+  // o, so rule (i -> j) of o is rule (j -> i) of its mirror, and the centre
+  // offset is the identity. Only the `half` offsets below the centre are
+  // looked up. A hit leaves the cursor on the input's sorted position,
+  // where mirror_of records the output row; reading mirror_of in position
+  // (= Morton) order then yields each mirror offset's rules in exactly the
+  // order a lookup pass over it would emit them.
+  const std::size_t n = entries.size();
+  const int half = volume / 2;
+  const auto hu = static_cast<std::size_t>(half);
+  const int shards = pick_geometry_shards(options, n);
+  std::vector<std::vector<std::vector<Rule>>> shard_rules(static_cast<std::size_t>(shards),
+                                                          std::vector<std::vector<Rule>>(hu));
+  std::vector<std::int32_t> mirror_of(hu * n, -1);
 
   // Outputs are walked in Morton order, so each offset's shifted queries
   // stay spatially local and the galloping cursor rarely moves far.
-  run_geometry_sharded(shards, [&](int s) {
-    const GeometryShardRange range = geometry_shard_range(entries.size(), shards, s);
+  parallel_for(shards, [&](int s) {
+    const GeometryShardRange range = geometry_shard_range(n, shards, s);
     auto& rules = shard_rules[static_cast<std::size_t>(s)];
-    std::vector<std::size_t> cursors(static_cast<std::size_t>(volume), range.begin);
+    std::vector<std::size_t> cursors(hu, range.begin);
     for (std::size_t e = range.begin; e < range.end; ++e) {
       const std::int32_t j = entries[e].row;
       const Coord3 out_c = voxel::morton_decode(entries[e].code);
-      for (int o = 0; o < volume; ++o) {
-        const Coord3 in_c = out_c + offsets[static_cast<std::size_t>(o)];
+      for (std::size_t o = 0; o < hu; ++o) {
+        const Coord3 in_c = out_c + offsets[o];
         if (!in_bounds(in_c, extent)) continue;
-        const std::int32_t i =
-            index.find_near(voxel::morton_encode(in_c), cursors[static_cast<std::size_t>(o)]);
-        if (i >= 0) rules[static_cast<std::size_t>(o)].push_back(Rule{i, j});
+        const std::int32_t i = index.find_near(voxel::morton_encode(in_c), cursors[o]);
+        if (i < 0) continue;
+        rules[o].push_back(Rule{i, j});
+        mirror_of[o * n + cursors[o]] = j;
       }
     }
   });
-  merge_shards(shard_rules, g.rulebook);
-  finalize_blocked(g, g.sites.size());
+  // Per offset pair (round-robin across shards): the looked-up offset's
+  // shard parts in shard order, its mirror read off mirror_of.
+  parallel_for(shards, [&](int s) {
+    for (int o = s; o <= half; o += shards) {
+      const auto ou = static_cast<std::size_t>(o);
+      std::vector<Rule> mirrored;
+      if (o == half) {
+        mirrored.reserve(n);
+        for (const auto& entry : entries) mirrored.push_back(Rule{entry.row, entry.row});
+      } else {
+        std::vector<Rule> looked_up = concat_shards(shard_rules, ou);
+        mirrored.reserve(looked_up.size());
+        for (std::size_t p = 0; p < n; ++p) {
+          const std::int32_t in = mirror_of[ou * n + p];
+          if (in >= 0) mirrored.push_back(Rule{in, entries[p].row});
+        }
+        g.rulebook.assign(o, std::move(looked_up));
+      }
+      g.rulebook.assign(volume - 1 - o, std::move(mirrored));
+    }
+  });
+  finalize_blocked(g, n);
   return g;
 }
 
@@ -259,7 +226,7 @@ LayerGeometry build_downsample_geometry(const SparseTensor& input, int kernel_si
   // Output cell c covers input window [c*stride, c*stride + k); kernel cell
   // (kx, ky, kz) places the output at (p - kcell) / stride.
   std::vector<std::vector<Candidate>> shard_cands(static_cast<std::size_t>(shards));
-  run_geometry_sharded(shards, [&](int s) {
+  parallel_for(shards, [&](int s) {
     const GeometryShardRange range = geometry_shard_range(n, shards, s);
     auto& cands = shard_cands[static_cast<std::size_t>(s)];
     for (std::size_t i = range.begin; i < range.end; ++i) {
@@ -300,7 +267,7 @@ LayerGeometry build_downsample_geometry(const SparseTensor& input, int kernel_si
   std::vector<std::vector<std::vector<Rule>>> shard_rules(
       static_cast<std::size_t>(shards),
       std::vector<std::vector<Rule>>(static_cast<std::size_t>(volume)));
-  run_geometry_sharded(shards, [&](int s) {
+  parallel_for(shards, [&](int s) {
     auto& rules = shard_rules[static_cast<std::size_t>(s)];
     for (const Candidate& c : shard_cands[static_cast<std::size_t>(s)]) {
       const auto it = std::lower_bound(out_codes.begin(), out_codes.end(), c.code);
@@ -339,7 +306,7 @@ LayerGeometry build_inverse_geometry(const SparseTensor& input, const SparseTens
   // Forward downsample maps target site p to input site c via kernel cell
   // (p - c*stride); the inverse flips the rule: in_row = row(c) in `input`,
   // out_row = row(p) in `target`, same weight cell.
-  run_geometry_sharded(shards, [&](int s) {
+  parallel_for(shards, [&](int s) {
     const GeometryShardRange range = geometry_shard_range(n, shards, s);
     auto& rules = shard_rules[static_cast<std::size_t>(s)];
     std::size_t cursor = 0;

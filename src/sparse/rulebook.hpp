@@ -39,9 +39,9 @@ class RuleBook {
   void add(int offset_index, Rule rule) {
     rules_[static_cast<std::size_t>(offset_index)].push_back(rule);
   }
-  /// Pre-size one offset's rule list (splice/merge producers).
-  void reserve(int offset_index, std::size_t n) {
-    rules_[static_cast<std::size_t>(offset_index)].reserve(n);
+  /// Replace one offset's rule list wholesale (splice/merge producers).
+  void assign(int offset_index, std::vector<Rule>&& rules) {
+    rules_[static_cast<std::size_t>(offset_index)] = std::move(rules);
   }
 
   /// Total number of (input, output) pairs == number of weight applications.

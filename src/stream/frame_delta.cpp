@@ -4,6 +4,7 @@
 #include <span>
 
 #include "common/check.hpp"
+#include "common/executor.hpp"
 #include "fault/injector.hpp"
 #include "obs/trace.hpp"
 
@@ -104,7 +105,7 @@ FrameDelta diff_frames(const sparse::SparseTensor& prev, const sparse::SparseTen
     std::size_t retained{0};
   };
   std::vector<RangeOut> ranges(su);
-  sparse::run_geometry_sharded(shards, [&](int s) {
+  parallel_for(shards, [&](int s) {
     const auto u = static_cast<std::size_t>(s);
     RangeOut& out = ranges[u];
     merge_range(old_entries, old_pos[u], old_pos[u + 1], new_entries, new_pos[u],

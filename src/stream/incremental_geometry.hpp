@@ -21,15 +21,15 @@
 // more than ESCA_STREAM_REBUILD_FRACTION of its sites, patching would touch
 // most rules anyway, so it falls back to a cold (optionally sharded) build.
 //
-// The whole patch is sharded, like the cold builders (one knob:
-// sparse::GeometryOptions / ESCA_GEOMETRY_THREADS): the fresh-site kernel
-// enumeration splits over Morton ranges of the *added* sites (each worker
-// with its own galloping cursors), the survivor scan and the per-offset
-// survivor+fresh merge split at common Morton cut points of the output
-// sites, and the per-range results concatenate in Morton order — so the
-// patched geometry stays bit-identical to the serial patch (and therefore
-// to a cold build) at ANY shard count. One worker fan-out per patch; the
-// phases synchronize on an internal barrier.
+// The whole patch is sharded, like the cold builders (one shard count:
+// sparse::GeometryOptions::shards): the fresh-site kernel enumeration
+// splits over Morton ranges of the *added* sites (each shard with its own
+// galloping cursors), the survivor scan and the per-offset survivor+fresh
+// merge split at common Morton cut points of the output sites, and the
+// per-range results concatenate in Morton order — so the patched geometry
+// stays bit-identical to a cold build at ANY shard count. The patch runs
+// as five successive esca::parallel_for fan-outs, the join between two
+// phases being their barrier; one code path serves every shard count.
 #pragma once
 
 #include <cstdint>
@@ -76,15 +76,11 @@ struct GeometryUpdate {
 /// Patch `prev` (a submanifold geometry) into the geometry of `next`.
 /// `delta` must be diff_frames(prev.sites, next); extents must match.
 /// Returns a geometry bit-identical to build_submanifold_geometry(next, k)
-/// for any shard count `options` picks (1 = the serial patch).
+/// for any shard count `options` picks.
 sparse::LayerGeometry patch_submanifold_geometry(const sparse::LayerGeometry& prev,
                                                  const sparse::SparseTensor& next,
                                                  const FrameDelta& delta,
                                                  const sparse::GeometryOptions& options = {});
-
-/// The shard count a patch of a `sites`-site frame with `options` actually
-/// fans out to (1 when ESCA_GEOMETRY_THREADS=0 compiled threading out).
-int patch_shards(const sparse::GeometryOptions& options, std::size_t sites);
 
 /// Process-wide registry counters aggregating every IncrementalGeometry in
 /// the process: `esca_stream_geometry_patches_total` counts frames advanced

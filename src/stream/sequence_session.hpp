@@ -16,7 +16,9 @@
 //
 // serve::Server exposes SequenceSessions as a sticky request kind: all
 // requests of one stream id are pinned to one worker, whose SequenceSession
-// carries the stream's state across requests.
+// carries the stream's state across requests. A frame's diff, patch and
+// layer applies fan out on the process-wide executor (common/executor.hpp),
+// so sessions advancing on several workers at once share one bounded pool.
 #pragma once
 
 #include <algorithm>
@@ -41,8 +43,8 @@ struct SequenceSessionConfig {
   int downsample_factor{2};
   /// Shard configuration for the whole per-frame geometry path: cold
   /// (re)builds, the frame diff and the incremental patch (see
-  /// IncrementalGeometryConfig::geometry). Intra-frame parallelism — results
-  /// are bit-identical for any value.
+  /// IncrementalGeometryConfig::geometry). A partition count run on the
+  /// shared executor — results are bit-identical for any value.
   sparse::GeometryOptions geometry{};
   /// Churn fallback threshold; see IncrementalGeometryConfig.
   double rebuild_fraction{-1.0};

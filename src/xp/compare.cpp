@@ -85,6 +85,7 @@ const char* to_string(Verdict v) {
     case Verdict::kMissingCurrent: return "MISSING";
     case Verdict::kSchemaMismatch: return "SCHEMA-MISMATCH";
     case Verdict::kUnmatchedRule: return "UNMATCHED-RULE";
+    case Verdict::kOtherHost: return "other-host";
   }
   return "?";
 }
@@ -167,6 +168,8 @@ CompareReport compare(const BenchHistory& baseline, const BenchHistory& current,
   for (const RunRecord& r : baseline.runs) base_points[point_id(r, config)] = &r;
   for (const RunRecord& r : current.runs) cur_points[point_id(r, config)] = &r;
 
+  const bool other_host =
+      baseline.meta.host != current.meta.host || baseline.meta.cpus != current.meta.cpus;
   std::vector<bool> rule_matched(config.metrics.size(), false);
   std::set<std::string> ids;
   for (const auto& [id, r] : base_points) ids.insert(id);
@@ -199,7 +202,8 @@ CompareReport compare(const BenchHistory& baseline, const BenchHistory& current,
       ++report.compared;
       if (bv->is_number() && cv->is_number()) {
         double delta_pct = 0.0;
-        const Verdict v = judge_numbers(rule, bv->number, cv->number, delta_pct);
+        Verdict v = judge_numbers(rule, bv->number, cv->number, delta_pct);
+        if (other_host && !rule.stable && v != Verdict::kOk) v = Verdict::kOtherHost;
         sink.add(id, rule, bv, cv, v, delta_pct);
       } else {
         // Non-numeric metrics only make sense under "equal".

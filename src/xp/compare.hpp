@@ -6,7 +6,11 @@
 // returns a verdict table plus the gate decision. Stable metrics
 // (counter-derived: rule counts, DRAM bytes, stall totals) FAIL the gate on
 // violation; unstable ones (wall-clock on a noisy 1-core CI host) WARN —
-// `strict` promotes warnings to failures for quiet local machines. A rule
+// `strict` promotes warnings to failures for quiet local machines. When the
+// two documents come from different hosts (meta.host or meta.cpus differ),
+// a changed unstable metric is only reported as "other-host": wall clock
+// measured on another machine is no evidence either way, so it neither
+// warns nor fails, even under `strict`; stable metrics still gate. A rule
 // that matches no record in either document always FAILs: a gate that can
 // never see its metric is not a gate.
 #pragma once
@@ -29,6 +33,7 @@ enum class Verdict {
   kMissingCurrent,   ///< point/metric the bench stopped emitting
   kSchemaMismatch,   ///< history documents speak different schemas
   kUnmatchedRule,    ///< a declared rule matches no record in either document
+  kOtherHost,        ///< unstable metric changed, but baseline ran on another host
 };
 
 const char* to_string(Verdict v);

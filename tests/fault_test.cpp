@@ -3,7 +3,8 @@
 //   1. Injector semantics — spec parsing, deterministic counter-hash
 //      firing (same seed + schedule => identical fire sequence), pattern
 //      specificity, one-shot/nth/max schedules, malformed-spec rejection.
-//   2. Serve robustness primitives in isolation — stream quarantine after
+//   2. Robustness primitives in isolation — a task dying inside the shared
+//      executor's fan-out, stream quarantine after
 //      a mid-patch fault, worker death + supervisor respawn, retry
 //      policies (deterministic backoff, deadline awareness), brown-out
 //      entry/shed/recovery.
@@ -33,6 +34,8 @@
 #include "obs/obs.hpp"
 #include "runtime/runtime.hpp"
 #include "serve/serve.hpp"
+#include "sparse/compute.hpp"
+#include "stream/incremental_geometry.hpp"
 #include "test_util.hpp"
 
 namespace esca::serve {
@@ -368,6 +371,52 @@ TEST(FaultInjectorTest, FiredFaultsFeedTheGlobalRegistryCounter) {
   EXPECT_EQ(fault::Injector::global().total_fired(), 3U);
 }
 
+// exec.task fires inside a claimed index of the shared executor. The fault
+// must reach the caller of the fan-out (no deadlock: the test returning is
+// the check), and the next call on the same executor must succeed.
+TEST(ExecutorFaultTest, TaskFaultInShardedPatchReachesCallerAndRetryIsExact) {
+  const auto frames = drifting_frames(2, 55);
+  const sparse::GeometryOptions four{.shards = 4};
+  const sparse::LayerGeometry prev = sparse::build_submanifold_geometry(frames[0], 3, four);
+  const stream::FrameDelta delta = stream::diff_frames(prev.sites, frames[1], four);
+  {
+    // 4 shards x 5 phases = 20 tasks; the 7th dies in phase 2 (fresh rules).
+    InjectorGuard guard("exec.task:nth=7");
+    EXPECT_THROW((void)stream::patch_submanifold_geometry(prev, frames[1], delta, four),
+                 fault::InjectedFault);
+    EXPECT_EQ(fault::Injector::global().fired("exec.task"), 1U);
+  }
+  const sparse::LayerGeometry retried =
+      stream::patch_submanifold_geometry(prev, frames[1], delta, four);
+  EXPECT_TRUE(sparse::geometry_equal(retried,
+                                     sparse::build_submanifold_geometry(frames[1], 3, four)));
+}
+
+TEST(ExecutorFaultTest, TaskFaultInMultiPartitionAccumulateReachesCallerAndRetryIsExact) {
+  Rng rng(61);
+  const sparse::SparseTensor sites = test::clustered_tensor({24, 24, 24}, 1, rng, 8, 400);
+  const sparse::LayerGeometry g = sparse::build_submanifold_geometry(sites, 3);
+  ASSERT_GE(g.blocked.num_blocks(), 4);  // four partitions, each with work
+  constexpr int kCin = 4;
+  constexpr int kCout = 8;
+  std::vector<std::int16_t> features(sites.size() * kCin);
+  for (std::int16_t& f : features) f = static_cast<std::int16_t>(rng.uniform_int(-300, 300));
+  std::vector<std::int8_t> weights(27 * kCin * kCout);
+  for (std::int8_t& w : weights) w = static_cast<std::int8_t>(rng.uniform_int(-100, 100));
+
+  sparse::ComputeEngine engine{sparse::ComputeOptions{.threads = 4}};
+  const auto want_span = engine.accumulate(features, kCin, g.blocked, weights, kCout);
+  const std::vector<std::int64_t> want(want_span.begin(), want_span.end());
+  {
+    InjectorGuard guard("exec.task:nth=2");
+    EXPECT_THROW((void)engine.accumulate(features, kCin, g.blocked, weights, kCout),
+                 fault::InjectedFault);
+    EXPECT_EQ(fault::Injector::global().fired("exec.task"), 1U);
+  }
+  const auto got = engine.accumulate(features, kCin, g.blocked, weights, kCout);
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
+}
+
 TEST(ServeFaultTest, FailedSequenceQuarantinesStreamStateAndColdRebuilds) {
   InjectorGuard guard;
   ServerConfig cfg;
@@ -476,7 +525,7 @@ TEST(FaultChaosTest, EverySiteArmedEveryRequestTerminalOkBitExact) {
         "stream.diff:p=0.05;stream.patch:p=0.05;stream.force_rebuild:p=0.05;"
         "sparse.arena.grow:p=0.05;"
         "serve.admit.delay:p=0.05,delay_ms=1;serve.pickup.delay:p=0.05,delay_ms=1;"
-        "serve.worker.die:p=0.05",
+        "serve.worker.die:p=0.05;exec.task:p=0.05",
         static_cast<unsigned long long>(seed)));
 
     ServerConfig cfg;

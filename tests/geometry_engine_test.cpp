@@ -8,6 +8,7 @@
 #include <set>
 
 #include "common/check.hpp"
+#include "common/executor.hpp"
 #include "common/rng.hpp"
 #include "nn/unet.hpp"
 #include "sparse/coord_index.hpp"
@@ -282,8 +283,8 @@ TEST(GeometryEngineTest, BuildCounterCountsEveryBuild) {
 }
 
 TEST(GeometryEngineTest, ResolveShardsHonorsRequest) {
-  EXPECT_EQ(resolve_geometry_shards(3), 3);
-  EXPECT_GE(resolve_geometry_shards(0), 1);
+  EXPECT_EQ(resolve_partitions(3), 3);
+  EXPECT_GE(resolve_partitions(0), 1);
 }
 
 TEST(GeometryEngineTest, TransposedInverseIsBitIdenticalToDirectBuild) {

@@ -490,8 +490,8 @@ TEST(ServeStressTest, ManyClientsManyWorkersStayBitExact) {
 TEST(ServeStressTest, ConcurrentStickyStreamsWithShardedPatching) {
   // ThreadSanitizer workload for the parallel stream path: several client
   // threads each drive their own sticky stream while every worker's
-  // SequenceSession shards the frame diff and the geometry patch across an
-  // intra-frame worker fan-out — nested parallelism over one shared Plan.
+  // SequenceSession shards the frame diff and the geometry patch on the
+  // shared executor — nested parallelism over one shared Plan.
   ServerConfig cfg;
   cfg.workers = 2;
   cfg.queue_capacity = 256;
@@ -502,7 +502,6 @@ TEST(ServeStressTest, ConcurrentStickyStreamsWithShardedPatching) {
 
   constexpr int kStreams = 4;
   constexpr int kFramesPerStream = 5;
-  const int expect_shards = sparse::geometry_threading_enabled() ? 2 : 1;
   std::atomic<int> patched_frames{0};
   std::vector<std::thread> clients;
   clients.reserve(kStreams);
@@ -522,9 +521,8 @@ TEST(ServeStressTest, ConcurrentStickyStreamsWithShardedPatching) {
         const stream::SequenceFrameStats& stats = r.sequence.front();
         if (stats.patched_scales() > 0) {
           patched_frames.fetch_add(1, std::memory_order_relaxed);
-          ESCA_CHECK(stats.max_shards() == expect_shards,
-                     "patched frame fanned out to " << stats.max_shards() << " shards, want "
-                                                    << expect_shards);
+          ESCA_CHECK(stats.max_shards() == 2,
+                     "patched frame fanned out to " << stats.max_shards() << " shards, want 2");
         }
       }
     });

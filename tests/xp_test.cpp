@@ -369,6 +369,34 @@ TEST(CompareTest, UnstableRegressionWarnsUnlessStrict) {
   EXPECT_EQ(strict.failures, 1U);
 }
 
+TEST(CompareTest, UnstableChangesOnAnotherHostAreOtherHostEvenWhenStrict) {
+  const ExperimentConfig cfg = demo_config();
+  BenchHistory base = demo_history(10.0, 2.0, 4096);
+  base.meta.host = "vm";
+  base.meta.cpus = 1;
+  BenchHistory cur = demo_history(14.0, 1.2, 4096 * 1.2);  // both unstable rows move
+  cur.meta.host = "vm";
+  cur.meta.cpus = 4;
+
+  const CompareReport strict = compare(base, cur, cfg, /*strict=*/true);
+  EXPECT_EQ(strict.warnings, 0U);
+  EXPECT_EQ(strict.failures, 1U);  // the stable `sites` drift still gates
+  std::size_t other_host = 0;
+  for (const VerdictRow& row : strict.rows) {
+    if (row.verdict == Verdict::kOtherHost) {
+      ++other_host;
+      EXPECT_FALSE(row.stable);
+      EXPECT_FALSE(row.gates);
+    }
+  }
+  EXPECT_EQ(other_host, 2U);  // cold_ms and speedup
+  EXPECT_NE(strict.table("t").find("other-host"), std::string::npos);
+
+  // Same host: the same timing drift is a warning again.
+  cur.meta.cpus = 1;
+  EXPECT_EQ(compare(base, cur, cfg).warnings, 2U);
+}
+
 TEST(CompareTest, NoiseToleranceAndImprovementDirections) {
   const ExperimentConfig cfg = demo_config();
   const BenchHistory base = demo_history(10.0, 2.0, 4096);
