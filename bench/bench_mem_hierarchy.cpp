@@ -12,6 +12,10 @@
 //
 // Usage: bench_mem_hierarchy [resolution=96] [frames=2] [smoke=0]
 // smoke=1 shrinks the workload for CI and still emits the BENCH lines.
+// Each point also reports the SDMU's simulated counters (cycles, stalls,
+// FIFO high water — gated bit-exact) and host_ms, the wall time the host
+// spends simulating the point.
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -104,9 +108,21 @@ int main(int argc, char** argv) {
         const core::ArchConfig arch = sweep_config(point);
         runtime::EscaBackend backend(arch);
         const runtime::Plan plan = runtime::make_plan(workload.compiled);
+        const auto t0 = std::chrono::steady_clock::now();
         const runtime::RunReport report =
             backend.run(plan, runtime::FrameBatch::replay(frames), {.verify = false});
+        const double host_ms =
+            std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+                .count();
         check_closed_form(arch, report);
+        std::int64_t cc_cycles = 0;
+        std::int64_t mux_idle_cycles = 0;
+        for (const runtime::FrameReport& frame : report.frames) {
+          for (const core::LayerRunStats& l : frame.stats.layers) {
+            cc_cycles += l.cc_cycles;
+            mux_idle_cycles += l.sdmu.mux_idle_cycles;
+          }
+        }
 
         const core::MemorySummary mem = report.memory_summary();
         if (mem.memory_bound_layers > 0) ++memory_bound_points;
@@ -136,6 +152,13 @@ int main(int argc, char** argv) {
             .field("gops", report.effective_gops(), 3)
             .field("memory_bound_layers", mem.memory_bound_layers)
             .field("compute_bound_layers", mem.compute_bound_layers)
+            .field("cycles", report.total_cycles())
+            .field("cc_cycles", cc_cycles)
+            .field("sdmu_scan_stalls", mem.sdmu_scan_stalls)
+            .field("sdmu_fetch_stalls", mem.sdmu_fetch_stalls)
+            .field("mux_idle_cycles", mux_idle_cycles)
+            .field("sdmu_fifo_high_water", static_cast<std::int64_t>(mem.sdmu_fifo_high_water))
+            .field("host_ms", host_ms, 3)
             .emit();
       }
     }

@@ -157,15 +157,16 @@ LayerRunResult Accelerator::run_layer(const quant::QuantizedSubConv& layer,
   std::int64_t covered_sites = 0;
 
   for (const EncodedTile& tile : encoded) {
-    SdmuResult tile_result = sdmu.simulate_tile(tile, cc.cycles_per_match());
-    st.sdmu.merge(tile_result.stats);
+    sdmu.simulate_tile(tile, cc.cycles_per_match(), tile_result_);
+    st.sdmu.merge(tile_result_.stats);
 
     if (config_.mem.simulate_buffer) {
       // Replay this tile's real activation access stream (one read per
       // match, one writeback per output row) through the banked buffer.
       access_scratch_.clear();
-      for (const MatchGroup& group : tile_result.groups) {
-        for (const Match& m : group.matches) {
+      for (const GroupSpan& group : tile_result_.groups) {
+        for (std::int32_t i = group.begin; i < group.end; ++i) {
+          const Match& m = tile_result_.matches[static_cast<std::size_t>(i)];
           access_scratch_.push_back({static_cast<std::int64_t>(m.in_row), false});
         }
         access_scratch_.push_back({static_cast<std::int64_t>(group.out_row), true});
@@ -173,17 +174,17 @@ LayerRunResult Accelerator::run_layer(const quant::QuantizedSubConv& layer,
       st.buffer_sim.merge(buffer_.simulate(access_scratch_));
     }
 
-    for (const MatchGroup& group : tile_result.groups) {
-      const GroupComputeResult gr = cc.time_group(group);
+    for (const GroupSpan& group : tile_result_.groups) {
+      const GroupComputeResult gr = cc.time_group(group.size());
       st.cc_cycles += gr.cycles;
       st.mac_ops += gr.mac_ops;
       ++covered_sites;
 
       // Energy accounting for this group.
       energy_.add_mac(gr.mac_ops);
-      energy_.add_bram_read(static_cast<std::int64_t>(group.matches.size()) *
+      energy_.add_bram_read(static_cast<std::int64_t>(group.size()) *
                             ((layer.in_channels() + 3) / 4));  // 72b act words
-      energy_.add_bram_read(static_cast<std::int64_t>(group.matches.size()) *
+      energy_.add_bram_read(static_cast<std::int64_t>(group.size()) *
                             ((static_cast<std::int64_t>(layer.in_channels()) *
                               layer.out_channels() + 8) / 9));  // 72b weight words
       energy_.add_bram_write((layer.out_channels() + 3) / 4);

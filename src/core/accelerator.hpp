@@ -130,6 +130,7 @@ class Accelerator {
   sim::mem::GlobalBuffer buffer_;
   sim::EnergyMeter energy_;
   std::vector<sim::mem::BufferAccess> access_scratch_;  ///< reused per tile
+  SdmuResult tile_result_;                              ///< reused per tile
 };
 
 /// Sum a set of per-layer stats into network totals.

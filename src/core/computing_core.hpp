@@ -18,7 +18,6 @@
 #include <cstdint>
 
 #include "core/arch_config.hpp"
-#include "core/match.hpp"
 
 namespace esca::core {
 
@@ -34,8 +33,8 @@ class ComputingCore {
 
   int cycles_per_match() const { return cycles_per_match_; }
 
-  /// Array-occupied cycles and effective MACs of one match group.
-  GroupComputeResult time_group(const MatchGroup& group) const;
+  /// Array-occupied cycles and effective MACs of a match group of `matches`.
+  GroupComputeResult time_group(std::int64_t matches) const;
 
  private:
   int cycles_per_match_;

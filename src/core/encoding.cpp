@@ -1,8 +1,44 @@
 #include "core/encoding.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/check.hpp"
 
 namespace esca::core {
+
+namespace {
+
+/// Set bits of `words` in the bit range [begin, end).
+std::int32_t count_bits(const std::vector<std::uint64_t>& words, std::size_t begin,
+                        std::size_t end) {
+  std::int32_t n = 0;
+  while (begin < end) {
+    const std::size_t word = begin / 64;
+    const std::size_t lo = begin % 64;
+    const std::size_t hi = std::min<std::size_t>(64, lo + (end - begin));
+    std::uint64_t bits = words[word] >> lo;
+    if (hi - lo < 64) bits &= (1ULL << (hi - lo)) - 1;
+    n += std::popcount(bits);
+    begin += hi - lo;
+  }
+  return n;
+}
+
+/// Lowest set bit of `words` in [begin, end), else end.
+std::size_t find_bit(const std::vector<std::uint64_t>& words, std::size_t begin,
+                     std::size_t end) {
+  while (begin < end) {
+    const std::uint64_t bits = words[begin / 64] >> (begin % 64);
+    if (bits != 0) return std::min(end, begin + static_cast<std::size_t>(std::countr_zero(bits)));
+    begin = (begin / 64 + 1) * 64;
+  }
+  return end;
+}
+
+int ceil_div(int a, int b) { return (a + b - 1) / b; }
+
+}  // namespace
 
 EncodedTile::EncodedTile(Coord3 tile_coord, Coord3 core_origin, Coord3 core_size,
                          int kernel_radius)
@@ -14,32 +50,31 @@ EncodedTile::EncodedTile(Coord3 tile_coord, Coord3 core_origin, Coord3 core_size
                "tile core size must be positive");
   ESCA_REQUIRE(kernel_radius >= 0, "kernel radius must be non-negative");
   padded_size_ = core_size + Coord3{2 * radius_, 2 * radius_, 2 * radius_};
-  const auto words =
-      (static_cast<std::size_t>(mask_bits()) + 63) / 64;
-  mask_.assign(words, 0);
-  prefix_.assign(static_cast<std::size_t>(columns()) * static_cast<std::size_t>(depth() + 1),
-                 0);
+  mask_.assign((static_cast<std::size_t>(mask_bits()) + 63) / 64, 0);
 }
 
 bool EncodedTile::mask_at(int col, int z) const {
   ESCA_ASSERT(col >= 0 && col < columns() && z >= 0 && z < depth(), "mask index out of range");
-  const auto bit = static_cast<std::size_t>(col) * static_cast<std::size_t>(depth()) +
-                   static_cast<std::size_t>(z);
+  const std::size_t bit = bit_of(col, z);
   return (mask_[bit / 64] >> (bit % 64)) & 1U;
 }
 
 void EncodedTile::set_mask(int col, int z) {
   ESCA_ASSERT(col >= 0 && col < columns() && z >= 0 && z < depth(), "mask index out of range");
-  const auto bit = static_cast<std::size_t>(col) * static_cast<std::size_t>(depth()) +
-                   static_cast<std::size_t>(z);
+  const std::size_t bit = bit_of(col, z);
   mask_[bit / 64] |= (1ULL << (bit % 64));
 }
 
 std::int32_t EncodedTile::column_prefix(int col, int z) const {
   ESCA_ASSERT(col >= 0 && col < columns() && z >= 0 && z <= depth(),
               "prefix index out of range");
-  return prefix_[static_cast<std::size_t>(col) * static_cast<std::size_t>(depth() + 1) +
-                 static_cast<std::size_t>(z)];
+  return count_bits(mask_, bit_of(col, 0), bit_of(col, z));
+}
+
+int EncodedTile::next_active(int col, int z, int z_end) const {
+  ESCA_ASSERT(col >= 0 && col < columns() && z >= 0 && z <= z_end && z_end <= depth(),
+              "mask range out of range");
+  return static_cast<int>(find_bit(mask_, bit_of(col, z), bit_of(col, z_end)) - bit_of(col, 0));
 }
 
 void EncodedTile::finalize(std::vector<std::int32_t> column_start,
@@ -50,18 +85,15 @@ void EncodedTile::finalize(std::vector<std::int32_t> column_start,
   column_start_ = std::move(column_start);
   site_rows_ = std::move(site_rows);
   core_active_count_ = core_active_count;
-  // Build the per-column running counts (index A source).
-  for (int col = 0; col < columns(); ++col) {
-    std::int32_t acc = 0;
-    for (int z = 0; z <= depth(); ++z) {
-      prefix_[static_cast<std::size_t>(col) * static_cast<std::size_t>(depth() + 1) +
-              static_cast<std::size_t>(z)] = acc;
-      if (z < depth() && mask_at(col, z)) ++acc;
-    }
-  }
   // The stored activation layout must agree with the mask.
-  ESCA_CHECK(column_start_.back() == static_cast<std::int32_t>(site_rows_.size()),
+  ESCA_CHECK(column_start_.front() == 0 &&
+                 column_start_.back() == static_cast<std::int32_t>(site_rows_.size()),
              "column_start does not cover site_rows");
+  for (int col = 0; col < columns(); ++col) {
+    const auto c = static_cast<std::size_t>(col);
+    ESCA_CHECK(column_start_[c + 1] - column_start_[c] == column_prefix(col, depth()),
+               "column " << col << " stores a different site count than its mask");
+  }
 }
 
 TileEncoder::TileEncoder(const ArchConfig& config) : config_(config) { config_.validate(); }
@@ -69,48 +101,68 @@ TileEncoder::TileEncoder(const ArchConfig& config) : config_(config) { config_.v
 std::vector<EncodedTile> TileEncoder::encode(const sparse::SparseTensor& geometry,
                                              const voxel::TileGrid& tiles,
                                              EncodingStats* stats) const {
+  ESCA_REQUIRE(tiles.occupied_voxels() == static_cast<std::int64_t>(geometry.size()) &&
+                   tiles.grid_extent() == geometry.spatial_extent(),
+               "tile grid does not partition the geometry's sites");
   const int radius = config_.kernel_radius();
+  const Coord3 size = tiles.shape().size;
+  // Tiles within this many tile steps can reach into a tile's halo.
+  const Coord3 reach{ceil_div(radius, size.x), ceil_div(radius, size.y),
+                     ceil_div(radius, size.z)};
+
+  struct Hit {
+    std::int32_t bit;  ///< mask bit: column * depth + z
+    std::int32_t row;
+  };
+  std::vector<Hit> hits;
   std::vector<EncodedTile> encoded;
   encoded.reserve(tiles.tiles().size());
 
   for (const voxel::Tile& tile : tiles.tiles()) {
-    EncodedTile et(tile.tile_coord, tile.origin, tiles.shape().size, radius);
+    EncodedTile et(tile.tile_coord, tile.origin, size, radius);
     const Coord3 porigin = et.padded_origin();
     const Coord3 psize = et.padded_size();
 
-    std::vector<std::int32_t> column_start(static_cast<std::size_t>(et.columns()) + 1, 0);
-    std::vector<std::int32_t> site_rows;
-    std::int32_t core_active = 0;
-
-    // Column-major sweep; inside a column ascending z — the exact order the
-    // valid-data buffer is filled in (paper Fig. 4).
-    for (int x = 0; x < psize.x; ++x) {
-      for (int y = 0; y < psize.y; ++y) {
-        const int col = et.column_of(x, y);
-        column_start[static_cast<std::size_t>(col)] =
-            static_cast<std::int32_t>(site_rows.size());
-        for (int z = 0; z < psize.z; ++z) {
-          const Coord3 global = porigin + Coord3{x, y, z};
-          if (!in_bounds(global, geometry.spatial_extent())) continue;
-          const std::int32_t row = geometry.find(global);
-          if (row < 0) continue;
-          et.set_mask(col, z);
-          site_rows.push_back(row);
-          const bool in_core = x >= radius && x < radius + et.core_size().x && y >= radius &&
-                               y < radius + et.core_size().y && z >= radius &&
-                               z < radius + et.core_size().z;
-          if (in_core) ++core_active;
+    // Every occupied voxel of the padded box lies in this tile (its core)
+    // or in a neighbour within `reach`.
+    hits.clear();
+    for (int dx = -reach.x; dx <= reach.x; ++dx) {
+      for (int dy = -reach.y; dy <= reach.y; ++dy) {
+        for (int dz = -reach.z; dz <= reach.z; ++dz) {
+          const voxel::Tile* source =
+              (dx == 0 && dy == 0 && dz == 0) ? &tile
+                                              : tiles.find_tile(tile.tile_coord + Coord3{dx, dy, dz});
+          if (source == nullptr) continue;
+          for (std::size_t i = 0; i < source->occupied.size(); ++i) {
+            const Coord3 p = source->occupied[i] - porigin;
+            if (p.x < 0 || p.x >= psize.x || p.y < 0 || p.y >= psize.y || p.z < 0 ||
+                p.z >= psize.z) {
+              continue;
+            }
+            ESCA_ASSERT(geometry.find(source->occupied[i]) == source->rows[i],
+                        "tile grid row disagrees with the geometry at " << source->occupied[i]);
+            hits.push_back({et.column_of(p.x, p.y) * psize.z + p.z, source->rows[i]});
+          }
         }
       }
     }
-    column_start.back() = static_cast<std::int32_t>(site_rows.size());
-    // column_start must be a prefix: fix columns that had no sites after
-    // them (we set starts eagerly above, so fill any gaps monotonically).
-    for (std::size_t c = static_cast<std::size_t>(et.columns()); c > 0; --c) {
-      if (column_start[c - 1] > column_start[c]) column_start[c - 1] = column_start[c];
-    }
+    // Column-major, ascending z inside a column: the exact order the
+    // valid-data buffer is filled in (paper Fig. 4).
+    std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) { return a.bit < b.bit; });
 
-    const std::int64_t stored = static_cast<std::int64_t>(site_rows.size());
+    std::vector<std::int32_t> column_start(static_cast<std::size_t>(et.columns()) + 1, 0);
+    std::vector<std::int32_t> site_rows;
+    site_rows.reserve(hits.size());
+    for (const Hit& h : hits) {
+      const int col = h.bit / psize.z;
+      et.set_mask(col, h.bit % psize.z);
+      ++column_start[static_cast<std::size_t>(col) + 1];
+      site_rows.push_back(h.row);
+    }
+    for (std::size_t c = 1; c < column_start.size(); ++c) column_start[c] += column_start[c - 1];
+
+    const auto core_active = static_cast<std::int32_t>(tile.occupied.size());
+    const auto stored = static_cast<std::int64_t>(site_rows.size());
     et.finalize(std::move(column_start), std::move(site_rows), core_active);
 
     if (stats != nullptr) {

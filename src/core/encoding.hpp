@@ -12,6 +12,13 @@
 // tiles' activations so cross-tile neighbourhoods are exact; halo sites are
 // duplicated into each adjacent tile's encoding (accounted in the stats as
 // extra DRAM traffic).
+//
+// Cost: encoding follows the stored sites, not the padded volume. The
+// encoder reads each tile's occupied voxels, and those of the neighbour
+// tiles its halo reaches, from the TileGrid buckets, whose voxels carry
+// their geometry rows; it sorts them by (column, z) and sets their mask
+// bits. Column prefixes are popcounts over the mask words, so no per-voxel
+// table is built.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +54,8 @@ class EncodedTile {
   /// Running nonzero count of a column *strictly below* z — the value the
   /// state-index generator accumulates as index A while scanning.
   std::int32_t column_prefix(int col, int z) const;
+  /// First z' in [z, z_end) whose mask bit is set in column `col`, else z_end.
+  int next_active(int col, int z, int z_end) const;
 
   /// Activation storage: rows (into the layer input tensor) stored
   /// column-major, z-ascending. column_start is a size columns()+1 prefix.
@@ -72,8 +81,12 @@ class EncodedTile {
   Coord3 core_size_;
   Coord3 padded_size_;
   int radius_;
+  std::size_t bit_of(int col, int z) const {
+    return static_cast<std::size_t>(col) * static_cast<std::size_t>(depth()) +
+           static_cast<std::size_t>(z);
+  }
+
   std::vector<std::uint64_t> mask_;
-  std::vector<std::int32_t> prefix_;  ///< (depth+1) entries per column
   std::vector<std::int32_t> column_start_;
   std::vector<std::int32_t> site_rows_;
   std::int32_t core_active_count_{0};
@@ -87,8 +100,9 @@ struct EncodingStats {
   std::int64_t halo_duplicates{0};  ///< stored_sites - core_sites
 };
 
-/// Encode every active tile of `tiles` against the full geometry (halo
-/// lookups cross tile boundaries through `geometry`).
+/// Encode every active tile of `tiles`. `tiles` must partition `geometry`'s
+/// sites (ZeroRemoving::apply(geometry)): its voxel rows are the rows the
+/// encoding stores, and halos are read from the neighbour tiles' buckets.
 class TileEncoder {
  public:
   explicit TileEncoder(const ArchConfig& config);

@@ -23,4 +23,14 @@ struct MatchGroup {
   std::vector<Match> matches;
 };
 
+/// A match group as a window [begin, end) of a flat match stream.
+struct GroupSpan {
+  std::int32_t out_row;
+  std::int32_t begin;
+  std::int32_t end;
+
+  std::int32_t size() const { return end - begin; }
+  friend bool operator==(const GroupSpan&, const GroupSpan&) = default;
+};
+
 }  // namespace esca::core

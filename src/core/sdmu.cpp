@@ -1,19 +1,15 @@
 #include "core/sdmu.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <limits>
 
 #include "common/check.hpp"
-#include "core/fifo_group.hpp"
 #include "core/mask_judger.hpp"
+#include "sparse/rulebook.hpp"
 
 namespace esca::core {
 
 namespace {
-
-/// Address-fragment registers between generate and fetch, per column. Two
-/// entries model the generate/fetch skid buffer of the pipeline.
-constexpr std::size_t kFragmentQueueDepth = 2;
 
 /// Layer-input row of an active SRF center: the center's address in the
 /// tile's valid-data storage is its column's start plus the nonzeros below
@@ -22,6 +18,32 @@ std::int32_t center_row(const EncodedTile& tile, const Coord3& center) {
   const int col = tile.column_of(center.x, center.y);
   return tile.site_row(tile.column_start()[static_cast<std::size_t>(col)] +
                        tile.column_prefix(col, center.z));
+}
+
+/// Padded-tile position of the `index`-th SRF in scan order: x-major over
+/// the core's center columns, z (the scan axis) innermost.
+Coord3 scan_position(const EncodedTile& tile, std::int64_t index) {
+  const Coord3 core = tile.core_size();
+  const int r = tile.kernel_radius();
+  const auto cz = static_cast<std::int32_t>(index % core.z);
+  index /= core.z;
+  const auto cy = static_cast<std::int32_t>(index % core.y);
+  const auto cx = static_cast<std::int32_t>(index / core.y);
+  return {cx + r, cy + r, cz + r};
+}
+
+/// Scan index of the first active center at or after `index`, read from
+/// the core's mask bits; core volume when none is left.
+std::int64_t next_active_center(const EncodedTile& tile, std::int64_t index) {
+  const Coord3 core = tile.core_size();
+  const int r = tile.kernel_radius();
+  while (index < core.volume()) {
+    const Coord3 pos = scan_position(tile, index);
+    const int z = tile.next_active(tile.column_of(pos.x, pos.y), pos.z, r + core.z);
+    if (z < r + core.z) return index + (z - pos.z);
+    index += r + core.z - pos.z;  // first center of the next column
+  }
+  return core.volume();
 }
 
 }  // namespace
@@ -68,143 +90,175 @@ std::vector<MatchGroup> Sdmu::match_tile(const EncodedTile& tile) const {
   return groups;
 }
 
-SdmuResult Sdmu::simulate_tile(const EncodedTile& tile, int cc_cycles_per_match) const {
-  ESCA_REQUIRE(cc_cycles_per_match >= 1, "cc_cycles_per_match must be >= 1");
+void Sdmu::generate_group(const EncodedTile& tile, const Coord3& pos, SdmuResult& out) const {
   const int r = config_.kernel_radius();
-  const int k2 = config_.k2();
-  const Coord3 core = tile.core_size();
+  const std::int32_t out_row = center_row(tile, pos);
+  const auto begin = static_cast<std::int32_t>(out.matches.size());
+  const int lo = std::max(0, pos.z - r);
+  const int hi = std::min(tile.depth(), pos.z + r + 1);
+  for (int dy = -r; dy <= r; ++dy) {
+    for (int dx = -r; dx <= r; ++dx) {
+      const int decoder_column = (dy + r) * config_.kernel_size + (dx + r);
+      const int col = tile.column_of(pos.x + dx, pos.y + dy);
+      // The fragment is a view of the column's storage: addresses
+      // [A-B, A) past the column base, one per set mask bit of the window.
+      const AddressFragment frag =
+          StateIndexGenerator::to_fragment(state_gen_.generate(tile, col, pos.z));
+      if (frag.length() == 0) continue;
+      std::int32_t address = tile.column_start()[static_cast<std::size_t>(col)] + frag.begin;
+      for (int z = tile.next_active(col, lo, hi); z < hi; z = tile.next_active(col, z + 1, hi)) {
+        const int widx =
+            sparse::kernel_offset_index({dx, dy, z - pos.z}, config_.kernel_size);
+        out.matches.push_back(Match{tile.site_row(address++), static_cast<std::int16_t>(widx),
+                                    static_cast<std::int16_t>(decoder_column), out_row});
+      }
+      SdmuColumn& column = out.columns[static_cast<std::size_t>(decoder_column)];
+      column.fragments[column.queued++] = frag.length();
+    }
+  }
+  const auto end = static_cast<std::int32_t>(out.matches.size());
+  // A center site always matches itself, so the group is non-empty.
+  ESCA_CHECK(end > begin, "active SRF produced no matches");
+  out.groups.push_back(GroupSpan{out_row, begin, end});
+}
 
-  // --- pipeline structures ----------------------------------------------------
-  struct Fragment {
-    std::vector<Match> matches;
-    std::size_t next{0};
-  };
-  struct GroupTicket {
-    std::int32_t out_row{0};
-    std::vector<std::int32_t> remaining;  // per column
-    std::int64_t total{0};
-    int current_column{0};
-  };
-
-  std::vector<std::deque<Fragment>> fragment_queues(static_cast<std::size_t>(k2));
-  std::deque<GroupTicket> group_queue;
-  const std::size_t group_queue_depth = static_cast<std::size_t>(config_.fifo_depth);
-  FifoGroup fifos(k2, static_cast<std::size_t>(config_.fifo_depth));
-
-  // --- scan position ----------------------------------------------------------
-  std::int64_t scan_index = 0;
-  const std::int64_t scan_total = core.volume();
-  auto scan_position = [&](std::int64_t idx) {
-    const auto cz = static_cast<std::int32_t>(idx % core.z);
-    idx /= core.z;
-    const auto cy = static_cast<std::int32_t>(idx % core.y);
-    const auto cx = static_cast<std::int32_t>(idx / core.y);
-    return Coord3{cx + r, cy + r, cz + r};
-  };
-
+SdmuResult Sdmu::simulate_tile(const EncodedTile& tile, int cc_cycles_per_match) const {
   SdmuResult result;
-  SdmuStats& st = result.stats;
+  simulate_tile(tile, cc_cycles_per_match, result);
+  return result;
+}
+
+void Sdmu::simulate_tile(const EncodedTile& tile, int cc_cycles_per_match,
+                         SdmuResult& out) const {
+  ESCA_REQUIRE(cc_cycles_per_match >= 1, "cc_cycles_per_match must be >= 1");
+  const int read_cycles = config_.mask_read_cycles;
+  const auto fifo_depth = static_cast<std::size_t>(config_.fifo_depth);
+  const std::int64_t scan_total = tile.core_size().volume();
+
+  out.matches.clear();
+  out.groups.clear();
+  out.columns.assign(static_cast<std::size_t>(config_.k2()), SdmuColumn{});
+  out.stats = SdmuStats{};
+  SdmuStats& st = out.stats;
   st.srf_total = scan_total;
 
-  int read_countdown = config_.mask_read_cycles;
-  bool judged_ready = false;   // an SRF sits in the judge->generate latch
-  Coord3 judged_pos{};
+  // --- read + judge ------------------------------------------------------------
+  std::int64_t scan_index = 0;  // next SRF to judge
+  int read_countdown = read_cycles;
   bool scan_done = (scan_total == 0);
+  bool judged_ready = false;    // an SRF sits in the judge->generate latch
+  Coord3 judged_pos{};
+  std::int64_t next_active = -1;  // cached next_active_center(scan_index)
 
+  // --- MUX + CC: the groups queue is out.groups[front_group ..] ---------------
   std::int64_t cc_busy = 0;
-  std::int64_t groups_in_flight_matches = 0;  // matches generated, not yet consumed
+  std::size_t consumed = 0;     // matches the CC has taken from out.matches
+  std::size_t front_group = 0;  // first group not fully consumed
+  std::size_t fifo_high_water = 0;
 
   const std::int64_t safety_limit =
-      16 * (scan_total + 8) * (config_.mask_read_cycles + config_.k3()) *
-          cc_cycles_per_match +
-      1024;
+      16 * (scan_total + 8) * (read_cycles + config_.k3()) * cc_cycles_per_match + 1024;
+  const auto work_left = [&] {
+    return !scan_done || judged_ready || consumed < out.matches.size();
+  };
 
-  while (true) {
-    const bool work_left = !scan_done || judged_ready || groups_in_flight_matches > 0 ||
-                           !group_queue.empty();
-    if (!work_left) break;
+  while (work_left()) {
+    // --- closed-form skip over cycles that change nothing but counters ------
+    bool fetch_can_push = false;
+    bool fragment_room = true;
+    std::int64_t blocked_columns = 0;
+    for (const SdmuColumn& column : out.columns) {
+      if (column.queued > 0) {
+        if (static_cast<std::size_t>(column.fifo) < fifo_depth) {
+          fetch_can_push = true;
+        } else {
+          ++blocked_columns;
+        }
+      }
+      fragment_room = fragment_room && column.queued < SdmuColumn::kFragmentQueueDepth;
+    }
+    const bool group_room = out.groups.size() - front_group < fifo_depth;
+    const bool generate_fires = judged_ready && fragment_room && group_room;
+    if (!fetch_can_push && !generate_fires) {
+      // The CC acts at cycle cc_busy + 1 when a group is queued; the judge
+      // meets the next active center at cycle read_countdown +
+      // inactive * read_cycles, and with none left ends the scan on its last
+      // judgement. Everything before the first of these is quiet.
+      std::int64_t quiet = std::numeric_limits<std::int64_t>::max();
+      if (front_group < out.groups.size()) quiet = cc_busy;
+      if (!judged_ready && !scan_done) {
+        if (next_active < scan_index) next_active = next_active_center(tile, scan_index);
+        const std::int64_t inactive = next_active - scan_index;
+        quiet = std::min(quiet, next_active < scan_total
+                                    ? read_countdown + inactive * read_cycles - 1
+                                    : read_countdown + (inactive - 1) * read_cycles);
+      }
+      if (quiet > 0 && quiet < std::numeric_limits<std::int64_t>::max()) {
+        st.cycles += quiet;
+        cc_busy = std::max<std::int64_t>(0, cc_busy - quiet);
+        st.fetch_stall_cycles += quiet * blocked_columns;
+        if (judged_ready) {
+          st.scan_stall_cycles += quiet;
+        } else if (!scan_done) {
+          if (quiet >= read_countdown) {
+            const std::int64_t after_first = quiet - read_countdown;
+            const std::int64_t skipped = 1 + after_first / read_cycles;
+            read_countdown = read_cycles - static_cast<int>(after_first % read_cycles);
+            st.srf_skipped += skipped;
+            scan_index += skipped;
+            scan_done = scan_index >= scan_total;
+          } else {
+            read_countdown -= static_cast<int>(quiet);
+          }
+        }
+        if (!work_left()) break;
+      }
+    }
+
+    // --- one cycle of the four-stage pipeline ---------------------------------
     ESCA_CHECK(st.cycles < safety_limit, "SDMU simulation did not converge (deadlock?)");
     ++st.cycles;
 
     // 1) MUX + CC consumption (group by group, column order within a group).
     if (cc_busy > 0) {
       --cc_busy;
-    } else if (!group_queue.empty()) {
-      GroupTicket& g = group_queue.front();
-      if (g.total == 0) {
-        // Empty groups never enter the queue, so total==0 means finished.
-        group_queue.pop_front();
+    } else if (front_group < out.groups.size()) {
+      const Match& next = out.matches[consumed];
+      SdmuColumn& column = out.columns[static_cast<std::size_t>(next.column)];
+      if (column.fifo > 0) {
+        --column.fifo;
+        ++consumed;
+        ++st.matches;
+        cc_busy = cc_cycles_per_match - 1;
+        if (consumed == static_cast<std::size_t>(out.groups[front_group].end)) ++front_group;
       } else {
-        while (g.current_column < k2 &&
-               g.remaining[static_cast<std::size_t>(g.current_column)] == 0) {
-          ++g.current_column;
-        }
-        ESCA_CHECK(g.current_column < k2, "group ticket remaining/total mismatch");
-        auto popped = fifos.fifo(g.current_column).try_pop();
-        if (popped.has_value()) {
-          ESCA_CHECK(popped->out_row == g.out_row, "FIFO match belongs to a different group");
-          if (result.groups.empty() || result.groups.back().out_row != g.out_row) {
-            result.groups.push_back(MatchGroup{g.out_row, {}});
-          }
-          result.groups.back().matches.push_back(*popped);
-          --g.remaining[static_cast<std::size_t>(g.current_column)];
-          --g.total;
-          --groups_in_flight_matches;
-          ++st.matches;
-          cc_busy = cc_cycles_per_match - 1;
-          if (g.total == 0) group_queue.pop_front();
-        } else {
-          ++st.mux_idle_cycles;
-        }
+        ++st.mux_idle_cycles;
       }
     }
 
     // 2) Fetch engines: one activation per column per cycle.
-    for (int c = 0; c < k2; ++c) {
-      auto& q = fragment_queues[static_cast<std::size_t>(c)];
-      if (q.empty()) continue;
-      Fragment& frag = q.front();
-      if (frag.next >= frag.matches.size()) {
-        q.pop_front();
-        continue;
-      }
-      if (fifos.fifo(c).try_push(frag.matches[frag.next])) {
-        ++frag.next;
-        if (frag.next >= frag.matches.size()) q.pop_front();
+    for (SdmuColumn& column : out.columns) {
+      if (column.queued == 0) continue;
+      if (static_cast<std::size_t>(column.fifo) < fifo_depth) {
+        ++column.fifo;
+        fifo_high_water = std::max(fifo_high_water, static_cast<std::size_t>(column.fifo));
+        if (--column.fragments[0] == 0) {
+          column.fragments[0] = column.fragments[1];
+          --column.queued;
+        }
       } else {
         ++st.fetch_stall_cycles;
       }
     }
 
-    // 3) Generate stage: expand the judged SRF into fragments + group ticket.
+    // 3) Generate stage: expand the judged SRF into fragments + a group.
     if (judged_ready) {
-      bool room = group_queue.size() < group_queue_depth;
-      for (int c = 0; room && c < k2; ++c) {
-        room = fragment_queues[static_cast<std::size_t>(c)].size() < kFragmentQueueDepth;
+      bool room = out.groups.size() - front_group < fifo_depth;
+      for (const SdmuColumn& column : out.columns) {
+        room = room && column.queued < SdmuColumn::kFragmentQueueDepth;
       }
       if (room) {
-        const std::int32_t out_row = center_row(tile, judged_pos);
-
-        GroupTicket ticket;
-        ticket.out_row = out_row;
-        ticket.remaining.assign(static_cast<std::size_t>(k2), 0);
-        for (int dy = -r; dy <= r; ++dy) {
-          for (int dx = -r; dx <= r; ++dx) {
-            auto matches = state_gen_.column_matches(tile, judged_pos.x, judged_pos.y,
-                                                     judged_pos.z, dx, dy, out_row);
-            if (matches.empty()) continue;
-            const int col = (dy + r) * config_.kernel_size + (dx + r);
-            ticket.remaining[static_cast<std::size_t>(col)] =
-                static_cast<std::int32_t>(matches.size());
-            ticket.total += static_cast<std::int64_t>(matches.size());
-            groups_in_flight_matches += static_cast<std::int64_t>(matches.size());
-            fragment_queues[static_cast<std::size_t>(col)].push_back(
-                Fragment{std::move(matches), 0});
-          }
-        }
-        // A center site always matches itself, so the ticket is non-empty.
-        ESCA_CHECK(ticket.total > 0, "active SRF produced no matches");
-        group_queue.push_back(std::move(ticket));
+        generate_group(tile, judged_pos, out);
         judged_ready = false;
       } else {
         ++st.scan_stall_cycles;
@@ -217,10 +271,10 @@ SdmuResult Sdmu::simulate_tile(const EncodedTile& tile, int cc_cycles_per_match)
       if (read_countdown > 1) {
         --read_countdown;
       } else {
-        const Coord3 pos = scan_position(scan_index);
+        const Coord3 pos = scan_position(tile, scan_index);
         ++scan_index;
-        if (scan_index >= scan_total) scan_done = true;
-        read_countdown = config_.mask_read_cycles;
+        scan_done = scan_index >= scan_total;
+        read_countdown = read_cycles;
         if (MaskJudger::judge(tile, pos.x, pos.y, pos.z) == SrfState::kActive) {
           judged_ready = true;
           judged_pos = pos;
@@ -233,9 +287,10 @@ SdmuResult Sdmu::simulate_tile(const EncodedTile& tile, int cc_cycles_per_match)
   }
 
   st.cycles += config_.pipeline_fill_cycles;
-  st.fifo_high_water = fifos.high_water();
-  ESCA_CHECK(fifos.all_empty(), "FIFOs not drained at end of tile");
-  return result;
+  st.fifo_high_water = fifo_high_water;
+  ESCA_CHECK(std::all_of(out.columns.begin(), out.columns.end(),
+                         [](const SdmuColumn& c) { return c.queued == 0 && c.fifo == 0; }),
+             "SDMU queues not drained at end of tile");
 }
 
 }  // namespace esca::core

@@ -8,7 +8,7 @@
 // every layer). The matches only drive timing and the buffer access
 // stream — the layer's outputs come from sparse::ComputeEngine.
 //
-// Timing contract: a four-stage pipeline —
+// Timing contract: a four-stage pipeline, stepped cycle by cycle —
 //   read masks   : one SRF's K^2 column masks per mask_read_cycles cycles
 //   judge state  : center bit decides active / skip (skip costs no fetch)
 //   generate     : per-column state index (A, B) -> address fragment (A-B, A)
@@ -18,6 +18,17 @@
 // Backpressure is modelled end to end: full fragment queues stall the scan,
 // full FIFOs stall fetch engines, and the CC's cycles-per-match sets the
 // drain rate.
+//
+// That per-cycle model is the semantics. The simulator steps it only on
+// cycles where a fetch engine can push, generate can fire, the CC takes a
+// match or the judge meets an active center. Every other cycle only
+// decrements the CC's busy count, advances the mask read over inactive
+// SRFs and adds stall counts, so a run of them is applied in closed form:
+// an idle pipeline jumps to the next active center found from the core
+// mask bits, and a frozen one (fetch blocked by full FIFOs, generate
+// blocked or the scan done) jumps over the CC's busy cycles. Every counter
+// equals the per-cycle model's, and the cost per tile is O(active centers
+// + matches) steps instead of O(simulated cycles).
 #pragma once
 
 #include <cstdint>
@@ -44,10 +55,24 @@ struct SdmuStats {
   void merge(const SdmuStats& other);
 };
 
+/// Pipeline state of one decoder column: its address-fragment queue (the
+/// fetches each queued fragment has left) and its match FIFO's occupancy.
+struct SdmuColumn {
+  static constexpr int kFragmentQueueDepth = 2;  ///< generate/fetch skid buffer
+  std::int32_t fragments[kFragmentQueueDepth]{};
+  int queued{0};
+  int fifo{0};
+};
+
+/// One tile's SDMU output: the match stream in the order the computing core
+/// consumes it — group by group (scan order of active SRFs), then decoder
+/// column, then ascending z — cut into groups.
 struct SdmuResult {
-  /// Match groups in consumption order (scan order of active SRFs).
-  std::vector<MatchGroup> groups;
+  std::vector<Match> matches;
+  std::vector<GroupSpan> groups;
   SdmuStats stats;
+  /// Per-column pipeline state; kept here so successive tiles reuse it.
+  std::vector<SdmuColumn> columns;
 };
 
 class Sdmu {
@@ -58,14 +83,20 @@ class Sdmu {
   /// An SRF center's output row is read from the tile's own storage.
   std::vector<MatchGroup> match_tile(const EncodedTile& tile) const;
 
-  /// Cycle-accurate simulation of one tile.
+  /// Cycle-accurate simulation of one tile into `out`, whose storage is
+  /// reused across calls.
   /// @param cc_cycles_per_match  consumption rate of the computing core
   ///                             (ArchConfig::cycles_per_match).
+  void simulate_tile(const EncodedTile& tile, int cc_cycles_per_match, SdmuResult& out) const;
   SdmuResult simulate_tile(const EncodedTile& tile, int cc_cycles_per_match) const;
 
   const ArchConfig& config() const { return config_; }
 
  private:
+  /// Generate stage: append the group of the active SRF centered at `pos`
+  /// and queue its per-column fragments.
+  void generate_group(const EncodedTile& tile, const Coord3& pos, SdmuResult& out) const;
+
   ArchConfig config_;
   StateIndexGenerator state_gen_;
 };

@@ -9,24 +9,34 @@ ZeroRemoving::ZeroRemoving(Coord3 tile_size) : tile_size_(tile_size) {
                "tile size must be positive, got " << tile_size);
 }
 
-voxel::TileGrid ZeroRemoving::apply(const voxel::VoxelGrid& grid,
-                                    ZeroRemovingStats* stats) const {
-  voxel::TileGrid tiles(grid, voxel::TileShape{tile_size_});
+namespace {
+
+void fill_stats(const voxel::TileGrid& tiles, ZeroRemovingStats* stats) {
   if (stats != nullptr) {
-    stats->tile_size = tile_size_;
+    stats->tile_size = tiles.shape().size;
     stats->active_tiles = tiles.active_tiles();
     stats->total_tiles = tiles.total_tiles();
     stats->removing_ratio = tiles.removing_ratio();
     stats->active_sites = tiles.occupied_voxels();
-    stats->kept_voxels = tiles.active_tiles() * tile_size_.volume();
-    stats->total_voxels = grid.extent().volume();
+    stats->kept_voxels = tiles.active_tiles() * tiles.shape().voxels();
+    stats->total_voxels = tiles.grid_extent().volume();
   }
+}
+
+}  // namespace
+
+voxel::TileGrid ZeroRemoving::apply(const voxel::VoxelGrid& grid,
+                                    ZeroRemovingStats* stats) const {
+  voxel::TileGrid tiles(grid, voxel::TileShape{tile_size_});
+  fill_stats(tiles, stats);
   return tiles;
 }
 
 voxel::TileGrid ZeroRemoving::apply(const sparse::SparseTensor& tensor,
                                     ZeroRemovingStats* stats) const {
-  return apply(occupancy_of(tensor), stats);
+  voxel::TileGrid tiles(tensor.coords(), tensor.spatial_extent(), voxel::TileShape{tile_size_});
+  fill_stats(tiles, stats);
+  return tiles;
 }
 
 voxel::VoxelGrid occupancy_of(const sparse::SparseTensor& tensor) {

@@ -19,37 +19,40 @@ Coord3 tile_of(const Coord3& voxel, const Coord3& tile_size) {
 }  // namespace
 
 TileGrid::TileGrid(const VoxelGrid& grid, TileShape shape)
-    : shape_(shape), grid_extent_(grid.extent()) {
+    : TileGrid(grid.coords(), grid.extent(), shape) {}
+
+TileGrid::TileGrid(std::span<const Coord3> coords, Coord3 extent, TileShape shape)
+    : shape_(shape), grid_extent_(extent) {
   ESCA_REQUIRE(shape.size.x > 0 && shape.size.y > 0 && shape.size.z > 0,
                "tile size must be positive, got " << shape.size);
   tiles_extent_ = ceil_div(grid_extent_, shape.size);
 
-  for (const Coord3& voxel : grid.coords()) {
-    const Coord3 tc = tile_of(voxel, shape.size);
-    auto [it, inserted] = tile_index_.try_emplace(tc, tiles_.size());
-    if (inserted) {
-      tiles_.push_back(Tile{tc,
-                            {tc.x * shape.size.x, tc.y * shape.size.y, tc.z * shape.size.z},
+  struct Entry {
+    Coord3 tile;
+    Coord3 voxel;
+    std::int32_t row;
+  };
+  std::vector<Entry> entries;
+  entries.reserve(coords.size());
+  for (std::size_t i = 0; i < coords.size(); ++i) {
+    entries.push_back({tile_of(coords[i], shape.size), coords[i], static_cast<std::int32_t>(i)});
+  }
+  // Deterministic processing order: tiles sorted by tile coordinate, voxels
+  // within a tile sorted by coordinate.
+  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
+    return a.tile != b.tile ? a.tile < b.tile : a.voxel < b.voxel;
+  });
+  for (const Entry& e : entries) {
+    if (tiles_.empty() || tiles_.back().tile_coord != e.tile) {
+      tile_index_.emplace(e.tile, tiles_.size());
+      tiles_.push_back(Tile{e.tile,
+                            {e.tile.x * shape.size.x, e.tile.y * shape.size.y,
+                             e.tile.z * shape.size.z},
+                            {},
                             {}});
     }
-    tiles_[it->second].occupied.push_back(voxel);
-  }
-
-  // Deterministic processing order: tiles sorted by tile coordinate, voxels
-  // within a tile sorted z-major (the SDMU scan order).
-  std::vector<std::size_t> order(tiles_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
-    return tiles_[a].tile_coord < tiles_[b].tile_coord;
-  });
-  std::vector<Tile> sorted;
-  sorted.reserve(tiles_.size());
-  for (const std::size_t i : order) sorted.push_back(std::move(tiles_[i]));
-  tiles_ = std::move(sorted);
-  tile_index_.clear();
-  for (std::size_t i = 0; i < tiles_.size(); ++i) {
-    tile_index_.emplace(tiles_[i].tile_coord, i);
-    std::sort(tiles_[i].occupied.begin(), tiles_[i].occupied.end());
+    tiles_.back().occupied.push_back(e.voxel);
+    tiles_.back().rows.push_back(e.row);
   }
 }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -23,18 +24,23 @@ struct TileShape {
 };
 
 /// One active tile: its tile-space coordinate plus the occupied voxels that
-/// fall inside it (global coordinates).
+/// fall inside it (global coordinates), each with its row in the source.
 struct Tile {
   Coord3 tile_coord;              ///< position in tile space
   Coord3 origin;                  ///< voxel-space origin (tile_coord * size)
-  std::vector<Coord3> occupied;   ///< occupied voxels inside this tile
+  std::vector<Coord3> occupied;   ///< occupied voxels inside this tile, ascending
+  std::vector<std::int32_t> rows; ///< rows[i]: index of occupied[i] in the source list
 };
 
 class TileGrid {
  public:
   /// Partition `grid` with the given tile shape. Extent need not be an exact
-  /// multiple of the tile size; edge tiles are logically padded.
+  /// multiple of the tile size; edge tiles are logically padded. Rows index
+  /// grid.coords().
   TileGrid(const VoxelGrid& grid, TileShape shape);
+  /// Partition a list of distinct in-extent coordinates (e.g. a sparse
+  /// tensor's sites); each voxel's row is its index in `coords`.
+  TileGrid(std::span<const Coord3> coords, Coord3 extent, TileShape shape);
 
   const TileShape& shape() const { return shape_; }
   const Coord3& grid_extent() const { return grid_extent_; }

@@ -42,6 +42,15 @@ std::set<MatchTuple> all_matches(const std::vector<MatchGroup>& groups) {
   return s;
 }
 
+std::set<MatchTuple> all_matches(const SdmuResult& result) {
+  std::set<MatchTuple> s;
+  for (const Match& m : result.matches) {
+    const auto [it, inserted] = s.insert({m.in_row, m.weight_index, m.out_row});
+    EXPECT_TRUE(inserted) << "duplicate match";
+  }
+  return s;
+}
+
 std::set<MatchTuple> rulebook_matches(const sparse::SparseTensor& geometry, int k) {
   std::set<MatchTuple> s;
   const sparse::RuleBook rb = sparse::build_submanifold_rulebook(geometry, k);
@@ -99,7 +108,7 @@ TEST(SdmuSimulateTest, SameMatchesAsFunctionalPath) {
   for (const EncodedTile& tile : p.tiles) {
     const auto functional = sdmu.match_tile(tile);
     const SdmuResult timed = sdmu.simulate_tile(tile, 1);
-    EXPECT_EQ(all_matches(timed.groups), all_matches(functional));
+    EXPECT_EQ(all_matches(timed), all_matches(functional));
     // Consumption preserves group order (scan order of active SRFs).
     ASSERT_EQ(timed.groups.size(), functional.size());
     for (std::size_t i = 0; i < functional.size(); ++i) {
@@ -121,7 +130,7 @@ TEST(SdmuSimulateTest, StatsAreCoherent) {
     EXPECT_EQ(r.stats.srf_active + r.stats.srf_skipped, r.stats.srf_total);
     EXPECT_EQ(r.stats.srf_active, tile.core_active_count());
     std::int64_t matches = 0;
-    for (const auto& g : r.groups) matches += static_cast<std::int64_t>(g.matches.size());
+    for (const GroupSpan& g : r.groups) matches += g.size();
     EXPECT_EQ(r.stats.matches, matches);
     // Scan alone needs srf_total * mask_read_cycles cycles.
     EXPECT_GE(r.stats.cycles, r.stats.srf_total * cfg.mask_read_cycles);
@@ -159,7 +168,7 @@ TEST(SdmuSimulateTest, ShallowFifoStillCorrectJustSlower) {
   for (const EncodedTile& tile : pd.tiles) {
     const auto a = sdmu_deep.simulate_tile(tile, 2);
     const auto b = sdmu_shallow.simulate_tile(tile, 2);
-    EXPECT_EQ(all_matches(a.groups), all_matches(b.groups));
+    EXPECT_EQ(all_matches(a), all_matches(b));
     EXPECT_GE(b.stats.cycles, a.stats.cycles);
   }
 }
