@@ -36,7 +36,8 @@ std::size_t find_bit(const std::vector<std::uint64_t>& words, std::size_t begin,
   return end;
 }
 
-int ceil_div(int a, int b) { return (a + b - 1) / b; }
+/// a / b rounded toward negative infinity (b > 0).
+int floor_div(int a, int b) { return a >= 0 ? a / b : -((-a + b - 1) / b); }
 
 }  // namespace
 
@@ -89,11 +90,11 @@ void EncodedTile::finalize(std::vector<std::int32_t> column_start,
   ESCA_CHECK(column_start_.front() == 0 &&
                  column_start_.back() == static_cast<std::int32_t>(site_rows_.size()),
              "column_start does not cover site_rows");
-  for (int col = 0; col < columns(); ++col) {
-    const auto c = static_cast<std::size_t>(col);
-    ESCA_CHECK(column_start_[c + 1] - column_start_[c] == column_prefix(col, depth()),
-               "column " << col << " stores a different site count than its mask");
-  }
+  ESCA_CHECK(std::is_sorted(column_start_.begin(), column_start_.end()),
+             "column_start is not a prefix");
+  ESCA_CHECK(count_bits(mask_, 0, static_cast<std::size_t>(mask_bits())) ==
+                 static_cast<std::int32_t>(site_rows_.size()),
+             "mask and site_rows disagree on the stored site count");
 }
 
 TileEncoder::TileEncoder(const ArchConfig& config) : config_(config) { config_.validate(); }
@@ -106,58 +107,64 @@ std::vector<EncodedTile> TileEncoder::encode(const sparse::SparseTensor& geometr
                "tile grid does not partition the geometry's sites");
   const int radius = config_.kernel_radius();
   const Coord3 size = tiles.shape().size;
-  // Tiles within this many tile steps can reach into a tile's halo.
-  const Coord3 reach{ceil_div(radius, size.x), ceil_div(radius, size.y),
-                     ceil_div(radius, size.z)};
+  const Coord3 padded = size + Coord3{2 * radius, 2 * radius, 2 * radius};
+  const Coord3 last = tiles.tiles_extent() - Coord3{1, 1, 1};
 
+  // Every site is stored by each tile whose padded box holds it: its own
+  // tile, and for sites within `radius` of a tile face the neighbours whose
+  // halo reaches them (t * size - radius <= v < (t + 1) * size + radius).
   struct Hit {
-    std::int32_t bit;  ///< mask bit: column * depth + z
+    std::uint64_t key;  ///< tile index << 32 | mask bit (column * depth + z)
     std::int32_t row;
   };
   std::vector<Hit> hits;
-  std::vector<EncodedTile> encoded;
-  encoded.reserve(tiles.tiles().size());
-
-  for (const voxel::Tile& tile : tiles.tiles()) {
-    EncodedTile et(tile.tile_coord, tile.origin, size, radius);
-    const Coord3 porigin = et.padded_origin();
-    const Coord3 psize = et.padded_size();
-
-    // Every occupied voxel of the padded box lies in this tile (its core)
-    // or in a neighbour within `reach`.
-    hits.clear();
-    for (int dx = -reach.x; dx <= reach.x; ++dx) {
-      for (int dy = -reach.y; dy <= reach.y; ++dy) {
-        for (int dz = -reach.z; dz <= reach.z; ++dz) {
-          const voxel::Tile* source =
-              (dx == 0 && dy == 0 && dz == 0) ? &tile
-                                              : tiles.find_tile(tile.tile_coord + Coord3{dx, dy, dz});
-          if (source == nullptr) continue;
-          for (std::size_t i = 0; i < source->occupied.size(); ++i) {
-            const Coord3 p = source->occupied[i] - porigin;
-            if (p.x < 0 || p.x >= psize.x || p.y < 0 || p.y >= psize.y || p.z < 0 ||
-                p.z >= psize.z) {
-              continue;
-            }
-            ESCA_ASSERT(geometry.find(source->occupied[i]) == source->rows[i],
-                        "tile grid row disagrees with the geometry at " << source->occupied[i]);
-            hits.push_back({et.column_of(p.x, p.y) * psize.z + p.z, source->rows[i]});
+  hits.reserve(geometry.size() * 2);
+  const std::vector<voxel::Tile>& all = tiles.tiles();
+  for (std::size_t ti = 0; ti < all.size(); ++ti) {
+    const voxel::Tile& tile = all[ti];
+    for (std::size_t i = 0; i < tile.occupied.size(); ++i) {
+      const Coord3 v = tile.occupied[i];
+      const Coord3 lo{std::max(0, floor_div(v.x - radius, size.x)),
+                      std::max(0, floor_div(v.y - radius, size.y)),
+                      std::max(0, floor_div(v.z - radius, size.z))};
+      const Coord3 hi{std::min(last.x, (v.x + radius) / size.x),
+                      std::min(last.y, (v.y + radius) / size.y),
+                      std::min(last.z, (v.z + radius) / size.z)};
+      ESCA_ASSERT(geometry.find(v) == tile.rows[i],
+                  "tile grid row disagrees with the geometry at " << v);
+      for (int tx = lo.x; tx <= hi.x; ++tx) {
+        for (int ty = lo.y; ty <= hi.y; ++ty) {
+          for (int tz = lo.z; tz <= hi.z; ++tz) {
+            const Coord3 tc{tx, ty, tz};
+            const voxel::Tile* target = tc == tile.tile_coord ? &tile : tiles.find_tile(tc);
+            if (target == nullptr) continue;
+            const Coord3 p = v - target->origin + Coord3{radius, radius, radius};
+            const auto bit = static_cast<std::uint64_t>((p.x * padded.y + p.y) * padded.z + p.z);
+            const auto index = static_cast<std::uint64_t>(target - all.data());
+            hits.push_back({index << 32 | bit, tile.rows[i]});
           }
         }
       }
     }
-    // Column-major, ascending z inside a column: the exact order the
-    // valid-data buffer is filled in (paper Fig. 4).
-    std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) { return a.bit < b.bit; });
+  }
+  // Tile by tile; column-major, ascending z inside a column: the exact order
+  // the valid-data buffer is filled in (paper Fig. 4).
+  std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) { return a.key < b.key; });
 
+  std::vector<EncodedTile> encoded;
+  encoded.reserve(all.size());
+  std::size_t h = 0;
+  for (std::size_t ti = 0; ti < all.size(); ++ti) {
+    const voxel::Tile& tile = all[ti];
+    EncodedTile et(tile.tile_coord, tile.origin, size, radius);
     std::vector<std::int32_t> column_start(static_cast<std::size_t>(et.columns()) + 1, 0);
     std::vector<std::int32_t> site_rows;
-    site_rows.reserve(hits.size());
-    for (const Hit& h : hits) {
-      const int col = h.bit / psize.z;
-      et.set_mask(col, h.bit % psize.z);
+    for (; h < hits.size() && (hits[h].key >> 32) == ti; ++h) {
+      const auto bit = static_cast<int>(hits[h].key & 0xffffffffU);
+      const int col = bit / padded.z;
+      et.set_mask(col, bit % padded.z);
       ++column_start[static_cast<std::size_t>(col) + 1];
-      site_rows.push_back(h.row);
+      site_rows.push_back(hits[h].row);
     }
     for (std::size_t c = 1; c < column_start.size(); ++c) column_start[c] += column_start[c - 1];
 

@@ -14,11 +14,13 @@
 // extra DRAM traffic).
 //
 // Cost: encoding follows the stored sites, not the padded volume. The
-// encoder reads each tile's occupied voxels, and those of the neighbour
-// tiles its halo reaches, from the TileGrid buckets, whose voxels carry
-// their geometry rows; it sorts them by (column, z) and sets their mask
-// bits. Column prefixes are popcounts over the mask words, so no per-voxel
-// table is built.
+// TileGrid buckets hold each tile's occupied voxels with their geometry
+// rows. A voxel is stored by its own tile (as a core site) and, when it
+// lies within the kernel radius of a tile face, by every neighbour tile
+// whose halo reaches it, up to ceil(radius / tile) tiles away. The stored
+// sites are sorted by (tile, column, z) and set their mask bits. Nothing is
+// looked up per padded voxel, and column prefixes are popcounts over the
+// mask words.
 #pragma once
 
 #include <cstdint>

@@ -113,7 +113,7 @@ std::string point_id(const RunRecord& record, const ExperimentConfig& config) {
 
 std::string CompareReport::table(const std::string& title) const {
   Table t(title);
-  t.header({"Point", "Metric", "Baseline", "Current", "Delta %", "Verdict", "Gate"});
+  t.header({"Point", "Metric", "Baseline", "Current", "Worse %", "Verdict", "Gate"});
   for (const VerdictRow& row : rows) {
     std::string delta = "-";
     if (std::isfinite(row.delta_pct)) {

@@ -59,7 +59,8 @@ struct CompareReport {
   std::size_t compared{0};     ///< (point, metric) pairs judged on both sides
 
   bool pass() const { return failures == 0; }
-  /// Full verdict table (all rows) via common/table.
+  /// Full verdict table (all rows) via common/table. Its "Worse %" column
+  /// is delta_pct: positive is worse, whatever the metric's direction.
   std::string table(const std::string& title) const;
   /// One-line outcome, e.g. "FAIL: 2 regression(s), 1 warning(s), 40 compared".
   std::string summary() const;

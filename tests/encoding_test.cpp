@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "core/encoding.hpp"
 #include "core/zero_removing.hpp"
@@ -159,6 +163,147 @@ TEST(TileEncoderTest, GridBorderTilesClampHalo) {
   EXPECT_EQ(tile.core_active_count(), 2);
   EXPECT_EQ(tile.stored_sites(), 2);
 }
+
+// ---------------------------------------------------------------------------
+// The bucketed encoder against a brute-force encoder that looks up every
+// voxel of every padded tile in the geometry.
+// ---------------------------------------------------------------------------
+
+struct BruteTile {
+  std::vector<bool> mask;  ///< column-major, z innermost
+  std::vector<std::int32_t> column_start;
+  std::vector<std::int32_t> site_rows;
+  std::int32_t core_active{0};
+};
+
+BruteTile brute_encode(const sparse::SparseTensor& geometry, const EncodedTile& shape) {
+  const Coord3 porigin = shape.padded_origin();
+  const Coord3 psize = shape.padded_size();
+  const int r = shape.kernel_radius();
+  const Coord3 core = shape.core_size();
+  BruteTile t;
+  t.mask.assign(static_cast<std::size_t>(shape.mask_bits()), false);
+  t.column_start.assign(static_cast<std::size_t>(shape.columns()) + 1, 0);
+  for (int x = 0; x < psize.x; ++x) {
+    for (int y = 0; y < psize.y; ++y) {
+      const int col = shape.column_of(x, y);
+      for (int z = 0; z < psize.z; ++z) {
+        const Coord3 global = porigin + Coord3{x, y, z};
+        if (!in_bounds(global, geometry.spatial_extent())) continue;
+        const std::int32_t row = geometry.find(global);
+        if (row < 0) continue;
+        t.mask[static_cast<std::size_t>(col) * static_cast<std::size_t>(psize.z) +
+               static_cast<std::size_t>(z)] = true;
+        ++t.column_start[static_cast<std::size_t>(col) + 1];
+        t.site_rows.push_back(row);
+        if (x >= r && x < r + core.x && y >= r && y < r + core.y && z >= r && z < r + core.z) {
+          ++t.core_active;
+        }
+      }
+    }
+  }
+  for (std::size_t c = 1; c < t.column_start.size(); ++c) {
+    t.column_start[c] += t.column_start[c - 1];
+  }
+  return t;
+}
+
+struct EncoderCase {
+  std::string name;
+  Coord3 extent;
+  Coord3 tile;
+  int kernel;
+  double density;
+
+  friend void PrintTo(const EncoderCase& c, std::ostream* os) { *os << c.name; }
+};
+
+class EncoderOracleTest : public ::testing::TestWithParam<EncoderCase> {};
+
+TEST_P(EncoderOracleTest, EqualsBruteForceEncoder) {
+  const EncoderCase& c = GetParam();
+  Rng rng(4200 + static_cast<std::uint64_t>(c.kernel));
+  // Sites inserted in random order, so geometry rows are not scan order.
+  std::vector<Coord3> coords;
+  for (std::int64_t i = 0; i < c.extent.volume(); ++i) {
+    if (rng.bernoulli(c.density)) coords.push_back(delinearize(i, c.extent));
+  }
+  for (std::size_t i = coords.size(); i > 1; --i) {
+    std::swap(coords[i - 1],
+              coords[static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+  }
+  sparse::SparseTensor geometry(c.extent, 1);
+  for (const Coord3& coord : coords) geometry.add_site(coord);
+
+  ArchConfig cfg;
+  cfg.kernel_size = c.kernel;
+  cfg.tile_size = c.tile;
+  const voxel::TileGrid grid = ZeroRemoving(cfg.tile_size).apply(geometry);
+  EncodingStats stats;
+  const std::vector<EncodedTile> tiles = TileEncoder(cfg).encode(geometry, grid, &stats);
+  ASSERT_EQ(static_cast<std::int64_t>(tiles.size()), grid.active_tiles());
+
+  EncodingStats want;
+  for (const EncodedTile& tile : tiles) {
+    const BruteTile brute = brute_encode(geometry, tile);
+    for (int col = 0; col < tile.columns(); ++col) {
+      std::int32_t below = 0;
+      for (int z = 0; z < tile.depth(); ++z) {
+        const bool bit = brute.mask[static_cast<std::size_t>(col) *
+                                        static_cast<std::size_t>(tile.depth()) +
+                                    static_cast<std::size_t>(z)];
+        ASSERT_EQ(tile.mask_at(col, z), bit) << tile.tile_coord() << " col " << col << " z " << z;
+        ASSERT_EQ(tile.column_prefix(col, z), below) << tile.tile_coord() << " col " << col;
+        int next = z;
+        while (next < tile.depth() && !brute.mask[static_cast<std::size_t>(col) *
+                                                      static_cast<std::size_t>(tile.depth()) +
+                                                  static_cast<std::size_t>(next)]) {
+          ++next;
+        }
+        ASSERT_EQ(tile.next_active(col, z, tile.depth()), next) << tile.tile_coord();
+        below += bit ? 1 : 0;
+      }
+      ASSERT_EQ(tile.column_prefix(col, tile.depth()), below);
+    }
+    EXPECT_EQ(tile.column_start(), brute.column_start) << tile.tile_coord();
+    EXPECT_EQ(tile.site_rows(), brute.site_rows) << tile.tile_coord();
+    EXPECT_EQ(tile.core_active_count(), brute.core_active) << tile.tile_coord();
+
+    want.tiles += 1;
+    want.mask_bytes += (tile.mask_bits() + 7) / 8;
+    want.stored_sites += static_cast<std::int64_t>(brute.site_rows.size());
+    want.core_sites += brute.core_active;
+    want.halo_duplicates += static_cast<std::int64_t>(brute.site_rows.size()) - brute.core_active;
+  }
+  EXPECT_EQ(stats.tiles, want.tiles);
+  EXPECT_EQ(stats.mask_bytes, want.mask_bytes);
+  EXPECT_EQ(stats.stored_sites, want.stored_sites);
+  EXPECT_EQ(stats.core_sites, want.core_sites);
+  EXPECT_EQ(stats.halo_duplicates, want.halo_duplicates);
+  EXPECT_EQ(stats.core_sites, static_cast<std::int64_t>(geometry.size()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, EncoderOracleTest,
+    ::testing::Values(
+        // Extents that are not a multiple of the tile: border tiles overhang.
+        EncoderCase{"ragged_extent_k3", {13, 11, 9}, {4, 4, 4}, 3, 0.15},
+        EncoderCase{"ragged_extent_k5", {10, 7, 12}, {8, 8, 8}, 5, 0.1},
+        // Tiles smaller than the radius: the halo spans two neighbours.
+        EncoderCase{"tile1_k5", {7, 6, 8}, {1, 1, 1}, 5, 0.2},
+        EncoderCase{"tile2_k5", {9, 8, 7}, {2, 2, 2}, 5, 0.2},
+        EncoderCase{"tile1_k3", {6, 7, 5}, {1, 1, 1}, 3, 0.3},
+        // Anisotropic tiles.
+        EncoderCase{"aniso_2x3x5_k3", {12, 12, 12}, {2, 3, 5}, 3, 0.1},
+        EncoderCase{"aniso_8x4x2_k5", {16, 9, 10}, {8, 4, 2}, 5, 0.1},
+        // Empty grid (no active tile) and every voxel occupied (full tiles).
+        EncoderCase{"empty", {8, 8, 8}, {4, 4, 4}, 3, 0.0},
+        EncoderCase{"full_k3", {9, 8, 10}, {4, 4, 4}, 3, 1.0},
+        EncoderCase{"full_k5", {6, 6, 6}, {3, 2, 4}, 5, 1.0},
+        // Sparse scatter: most tiles sit on the grid border.
+        EncoderCase{"sparse_border", {20, 20, 20}, {8, 8, 8}, 3, 0.01},
+        EncoderCase{"k1", {10, 10, 10}, {4, 4, 4}, 1, 0.2}),
+    [](const ::testing::TestParamInfo<EncoderCase>& info) { return info.param.name; });
 
 }  // namespace
 }  // namespace esca::core

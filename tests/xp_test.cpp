@@ -413,6 +413,25 @@ TEST(CompareTest, NoiseToleranceAndImprovementDirections) {
   EXPECT_EQ(worse.warnings, 1U);
 }
 
+TEST(CompareTest, WorseColumnIsNegativeForAnImprovedHigherIsBetterMetric) {
+  // The table's percentage column is badness: positive means worse in the
+  // metric's own direction, so a higher-is-better metric that rose reads
+  // negative.
+  const ExperimentConfig cfg = demo_config();
+  const CompareReport report =
+      compare(demo_history(10.0, 2.0, 4096), demo_history(10.0, 3.0, 4096), cfg);
+  const VerdictRow* speedup = nullptr;
+  for (const VerdictRow& row : report.rows) {
+    if (row.metric == "speedup") speedup = &row;
+  }
+  ASSERT_NE(speedup, nullptr);
+  EXPECT_EQ(speedup->verdict, Verdict::kImproved);
+  EXPECT_DOUBLE_EQ(speedup->delta_pct, -50.0);
+  const std::string table = report.table("t");
+  EXPECT_NE(table.find("Worse %"), std::string::npos);
+  EXPECT_NE(table.find("-50.00"), std::string::npos);
+}
+
 TEST(CompareTest, StableObsCounterDriftFailsTheGate) {
   const ExperimentConfig cfg = demo_config();
   const CompareReport report =
