@@ -9,33 +9,6 @@ namespace esca::core {
 
 namespace {
 
-/// Set bits of `words` in the bit range [begin, end).
-std::int32_t count_bits(const std::vector<std::uint64_t>& words, std::size_t begin,
-                        std::size_t end) {
-  std::int32_t n = 0;
-  while (begin < end) {
-    const std::size_t word = begin / 64;
-    const std::size_t lo = begin % 64;
-    const std::size_t hi = std::min<std::size_t>(64, lo + (end - begin));
-    std::uint64_t bits = words[word] >> lo;
-    if (hi - lo < 64) bits &= (1ULL << (hi - lo)) - 1;
-    n += std::popcount(bits);
-    begin += hi - lo;
-  }
-  return n;
-}
-
-/// Lowest set bit of `words` in [begin, end), else end.
-std::size_t find_bit(const std::vector<std::uint64_t>& words, std::size_t begin,
-                     std::size_t end) {
-  while (begin < end) {
-    const std::uint64_t bits = words[begin / 64] >> (begin % 64);
-    if (bits != 0) return std::min(end, begin + static_cast<std::size_t>(std::countr_zero(bits)));
-    begin = (begin / 64 + 1) * 64;
-  }
-  return end;
-}
-
 /// a / b rounded toward negative infinity (b > 0).
 int floor_div(int a, int b) { return a >= 0 ? a / b : -((-a + b - 1) / b); }
 
@@ -54,12 +27,6 @@ EncodedTile::EncodedTile(Coord3 tile_coord, Coord3 core_origin, Coord3 core_size
   mask_.assign((static_cast<std::size_t>(mask_bits()) + 63) / 64, 0);
 }
 
-bool EncodedTile::mask_at(int col, int z) const {
-  ESCA_ASSERT(col >= 0 && col < columns() && z >= 0 && z < depth(), "mask index out of range");
-  const std::size_t bit = bit_of(col, z);
-  return (mask_[bit / 64] >> (bit % 64)) & 1U;
-}
-
 void EncodedTile::set_mask(int col, int z) {
   ESCA_ASSERT(col >= 0 && col < columns() && z >= 0 && z < depth(), "mask index out of range");
   const std::size_t bit = bit_of(col, z);
@@ -67,15 +34,19 @@ void EncodedTile::set_mask(int col, int z) {
 }
 
 std::int32_t EncodedTile::column_prefix(int col, int z) const {
-  ESCA_ASSERT(col >= 0 && col < columns() && z >= 0 && z <= depth(),
-              "prefix index out of range");
-  return count_bits(mask_, bit_of(col, 0), bit_of(col, z));
+  std::int32_t n = 0;
+  for (int from = 0; from < z; from += 64) {
+    n += std::popcount(column_bits(col, from, std::min(64, z - from)));
+  }
+  return n;
 }
 
 int EncodedTile::next_active(int col, int z, int z_end) const {
-  ESCA_ASSERT(col >= 0 && col < columns() && z >= 0 && z <= z_end && z_end <= depth(),
-              "mask range out of range");
-  return static_cast<int>(find_bit(mask_, bit_of(col, z), bit_of(col, z_end)) - bit_of(col, 0));
+  for (; z < z_end; z += 64) {
+    const std::uint64_t bits = column_bits(col, z, std::min(64, z_end - z));
+    if (bits != 0) return z + std::countr_zero(bits);
+  }
+  return z_end;
 }
 
 void EncodedTile::finalize(std::vector<std::int32_t> column_start,
@@ -92,9 +63,9 @@ void EncodedTile::finalize(std::vector<std::int32_t> column_start,
              "column_start does not cover site_rows");
   ESCA_CHECK(std::is_sorted(column_start_.begin(), column_start_.end()),
              "column_start is not a prefix");
-  ESCA_CHECK(count_bits(mask_, 0, static_cast<std::size_t>(mask_bits())) ==
-                 static_cast<std::int32_t>(site_rows_.size()),
-             "mask and site_rows disagree on the stored site count");
+  std::size_t set_bits = 0;
+  for (const std::uint64_t word : mask_) set_bits += static_cast<std::size_t>(std::popcount(word));
+  ESCA_CHECK(set_bits == site_rows_.size(), "mask and site_rows disagree on the stored site count");
 }
 
 TileEncoder::TileEncoder(const ArchConfig& config) : config_(config) { config_.validate(); }

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/types.hpp"
 #include "core/arch_config.hpp"
 #include "sparse/sparse_tensor.hpp"
@@ -50,8 +51,19 @@ class EncodedTile {
   int depth() const { return padded_size_.z; }
   int column_of(int x, int y) const { return x * padded_size_.y + y; }
 
-  bool mask_at(int col, int z) const;
+  bool mask_at(int col, int z) const { return column_bits(col, z, 1) != 0; }
   void set_mask(int col, int z);
+  /// The n <= 64 mask bits [z, z + n) of column `col` as a word; bit i is z + i.
+  std::uint64_t column_bits(int col, int z, int n) const {
+    ESCA_ASSERT(col >= 0 && col < columns() && z >= 0 && n >= 0 && n <= 64 && z + n <= depth(),
+                "mask range out of range");
+    if (n == 0) return 0;
+    const std::size_t bit = bit_of(col, z);
+    const std::size_t shift = bit % 64;
+    std::uint64_t bits = mask_[bit / 64] >> shift;
+    if (shift + static_cast<std::size_t>(n) > 64) bits |= mask_[bit / 64 + 1] << (64 - shift);
+    return n == 64 ? bits : bits & ((std::uint64_t{1} << n) - 1);
+  }
 
   /// Running nonzero count of a column *strictly below* z — the value the
   /// state-index generator accumulates as index A while scanning.

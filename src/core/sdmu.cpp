@@ -1,6 +1,7 @@
 #include "core/sdmu.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "common/check.hpp"
@@ -37,13 +38,56 @@ Coord3 scan_position(const EncodedTile& tile, std::int64_t index) {
 std::int64_t next_active_center(const EncodedTile& tile, std::int64_t index) {
   const Coord3 core = tile.core_size();
   const int r = tile.kernel_radius();
-  while (index < core.volume()) {
-    const Coord3 pos = scan_position(tile, index);
-    const int z = tile.next_active(tile.column_of(pos.x, pos.y), pos.z, r + core.z);
-    if (z < r + core.z) return index + (z - pos.z);
-    index += r + core.z - pos.z;  // first center of the next column
+  if (index >= core.volume()) return core.volume();
+  const Coord3 from = scan_position(tile, index);
+  for (int cx = from.x, cy = from.y, z = from.z; cx < r + core.x; z = r) {
+    const int found = tile.next_active(tile.column_of(cx, cy), z, r + core.z);
+    if (found < r + core.z) {
+      return (static_cast<std::int64_t>(cx - r) * core.y + (cy - r)) * core.z + (found - r);
+    }
+    if (++cy == r + core.y) {
+      cy = r;
+      ++cx;
+    }
   }
   return core.volume();
+}
+
+/// Generate stage: append the group of the active SRF centered at `pos` to
+/// the match stream and queue its per-column fragments.
+void generate_group(const EncodedTile& tile, const Coord3& pos, int kernel_size,
+                    SdmuResult& out) {
+  const int r = kernel_size / 2;
+  const std::int32_t out_row = center_row(tile, pos);
+  const auto begin = static_cast<std::int32_t>(out.matches.size());
+  const int lo = std::max(0, pos.z - r);
+  const int hi = std::min(tile.depth(), pos.z + r + 1);
+  for (int dy = -r; dy <= r; ++dy) {
+    for (int dx = -r; dx <= r; ++dx) {
+      const int decoder_column = (dy + r) * kernel_size + (dx + r);
+      const int col = tile.column_of(pos.x + dx, pos.y + dy);
+      // The fragment is a view of the column's storage: addresses
+      // [A-B, A) past the column base, one per set mask bit of the window.
+      std::uint64_t window = tile.column_bits(col, lo, hi - lo);
+      if (window == 0) continue;
+      const int b = std::popcount(window);
+      const AddressFragment frag =
+          StateIndexGenerator::to_fragment({tile.column_prefix(col, lo) + b, b});
+      std::int32_t address = tile.column_start()[static_cast<std::size_t>(col)] + frag.begin;
+      for (; window != 0; window &= window - 1) {
+        const int z = lo + std::countr_zero(window);
+        const int widx = sparse::kernel_offset_index({dx, dy, z - pos.z}, kernel_size);
+        out.matches.push_back(Match{tile.site_row(address++), static_cast<std::int16_t>(widx),
+                                    static_cast<std::int16_t>(decoder_column), out_row});
+      }
+      SdmuColumn& column = out.columns[static_cast<std::size_t>(decoder_column)];
+      column.fragments[column.queued++] = frag.length();
+    }
+  }
+  const auto end = static_cast<std::int32_t>(out.matches.size());
+  // A center site always matches itself, so the group is non-empty.
+  ESCA_CHECK(end > begin, "active SRF produced no matches");
+  out.groups.push_back(GroupSpan{out_row, begin, end});
 }
 
 }  // namespace
@@ -90,38 +134,6 @@ std::vector<MatchGroup> Sdmu::match_tile(const EncodedTile& tile) const {
   return groups;
 }
 
-void Sdmu::generate_group(const EncodedTile& tile, const Coord3& pos, SdmuResult& out) const {
-  const int r = config_.kernel_radius();
-  const std::int32_t out_row = center_row(tile, pos);
-  const auto begin = static_cast<std::int32_t>(out.matches.size());
-  const int lo = std::max(0, pos.z - r);
-  const int hi = std::min(tile.depth(), pos.z + r + 1);
-  for (int dy = -r; dy <= r; ++dy) {
-    for (int dx = -r; dx <= r; ++dx) {
-      const int decoder_column = (dy + r) * config_.kernel_size + (dx + r);
-      const int col = tile.column_of(pos.x + dx, pos.y + dy);
-      // The fragment is a view of the column's storage: addresses
-      // [A-B, A) past the column base, one per set mask bit of the window.
-      const AddressFragment frag =
-          StateIndexGenerator::to_fragment(state_gen_.generate(tile, col, pos.z));
-      if (frag.length() == 0) continue;
-      std::int32_t address = tile.column_start()[static_cast<std::size_t>(col)] + frag.begin;
-      for (int z = tile.next_active(col, lo, hi); z < hi; z = tile.next_active(col, z + 1, hi)) {
-        const int widx =
-            sparse::kernel_offset_index({dx, dy, z - pos.z}, config_.kernel_size);
-        out.matches.push_back(Match{tile.site_row(address++), static_cast<std::int16_t>(widx),
-                                    static_cast<std::int16_t>(decoder_column), out_row});
-      }
-      SdmuColumn& column = out.columns[static_cast<std::size_t>(decoder_column)];
-      column.fragments[column.queued++] = frag.length();
-    }
-  }
-  const auto end = static_cast<std::int32_t>(out.matches.size());
-  // A center site always matches itself, so the group is non-empty.
-  ESCA_CHECK(end > begin, "active SRF produced no matches");
-  out.groups.push_back(GroupSpan{out_row, begin, end});
-}
-
 SdmuResult Sdmu::simulate_tile(const EncodedTile& tile, int cc_cycles_per_match) const {
   SdmuResult result;
   simulate_tile(tile, cc_cycles_per_match, result);
@@ -161,29 +173,34 @@ void Sdmu::simulate_tile(const EncodedTile& tile, int cc_cycles_per_match,
   const auto work_left = [&] {
     return !scan_done || judged_ready || consumed < out.matches.size();
   };
+  const auto generate_has_room = [&] {
+    return out.groups.size() - front_group < fifo_depth &&
+           std::all_of(out.columns.begin(), out.columns.end(), [](const SdmuColumn& c) {
+             return c.queued < SdmuColumn::kFragmentQueueDepth;
+           });
+  };
 
   while (work_left()) {
-    // --- closed-form skip over cycles that change nothing but counters ------
+    // --- closed-form skip ----------------------------------------------------
+    // While no fetch engine can push and generate cannot fire, a cycle only
+    // decrements cc_busy, advances the mask read over inactive SRFs and adds
+    // stall counts. That lasts until the CC takes its next match (cycle
+    // cc_busy + 1, if a group is queued) or the judge meets the next active
+    // center (cycle read_countdown + inactive * read_cycles); with no active
+    // center left, the last judgement ends the scan. So an idle pipeline
+    // jumps to its next active center, and a frozen one over the CC's busy
+    // cycles.
     bool fetch_can_push = false;
-    bool fragment_room = true;
-    std::int64_t blocked_columns = 0;
+    std::int64_t blocked_columns = 0;  // fetch engines facing a full FIFO
     for (const SdmuColumn& column : out.columns) {
-      if (column.queued > 0) {
-        if (static_cast<std::size_t>(column.fifo) < fifo_depth) {
-          fetch_can_push = true;
-        } else {
-          ++blocked_columns;
-        }
+      if (column.queued == 0) continue;
+      if (static_cast<std::size_t>(column.fifo) < fifo_depth) {
+        fetch_can_push = true;
+      } else {
+        ++blocked_columns;
       }
-      fragment_room = fragment_room && column.queued < SdmuColumn::kFragmentQueueDepth;
     }
-    const bool group_room = out.groups.size() - front_group < fifo_depth;
-    const bool generate_fires = judged_ready && fragment_room && group_room;
-    if (!fetch_can_push && !generate_fires) {
-      // The CC acts at cycle cc_busy + 1 when a group is queued; the judge
-      // meets the next active center at cycle read_countdown +
-      // inactive * read_cycles, and with none left ends the scan on its last
-      // judgement. Everything before the first of these is quiet.
+    if (!fetch_can_push && !(judged_ready && generate_has_room())) {
       std::int64_t quiet = std::numeric_limits<std::int64_t>::max();
       if (front_group < out.groups.size()) quiet = cc_busy;
       if (!judged_ready && !scan_done) {
@@ -253,12 +270,8 @@ void Sdmu::simulate_tile(const EncodedTile& tile, int cc_cycles_per_match,
 
     // 3) Generate stage: expand the judged SRF into fragments + a group.
     if (judged_ready) {
-      bool room = out.groups.size() - front_group < fifo_depth;
-      for (const SdmuColumn& column : out.columns) {
-        room = room && column.queued < SdmuColumn::kFragmentQueueDepth;
-      }
-      if (room) {
-        generate_group(tile, judged_pos, out);
+      if (generate_has_room()) {
+        generate_group(tile, judged_pos, config_.kernel_size, out);
         judged_ready = false;
       } else {
         ++st.scan_stall_cycles;

@@ -27,8 +27,9 @@
 // an idle pipeline jumps to the next active center found from the core
 // mask bits, and a frozen one (fetch blocked by full FIFOs, generate
 // blocked or the scan done) jumps over the CC's busy cycles. Every counter
-// equals the per-cycle model's, and the cost per tile is O(active centers
-// + matches) steps instead of O(simulated cycles).
+// equals the per-cycle model's (tests/sdmu_oracle_test.cpp), and a tile
+// costs O(active centers + matches) steps plus one pass over its core mask
+// words instead of O(simulated cycles).
 #pragma once
 
 #include <cstdint>
@@ -93,10 +94,6 @@ class Sdmu {
   const ArchConfig& config() const { return config_; }
 
  private:
-  /// Generate stage: append the group of the active SRF centered at `pos`
-  /// and queue its per-column fragments.
-  void generate_group(const EncodedTile& tile, const Coord3& pos, SdmuResult& out) const;
-
   ArchConfig config_;
   StateIndexGenerator state_gen_;
 };
