@@ -98,9 +98,11 @@ void BM_SdmuCycleSimulation(benchmark::State& state) {
   const auto tiles = encoder.encode(x, grid, nullptr);
   const core::Sdmu sdmu(cfg);
   std::int64_t sim_cycles = 0;
+  core::SdmuResult result;
   for (auto _ : state) {
     for (const auto& tile : tiles) {
-      sim_cycles += sdmu.simulate_tile(tile, 1).stats.cycles;
+      sdmu.simulate_tile(tile, 1, result);
+      sim_cycles += result.stats.cycles;
     }
   }
   state.SetItemsProcessed(sim_cycles);

@@ -134,12 +134,6 @@ std::vector<MatchGroup> Sdmu::match_tile(const EncodedTile& tile) const {
   return groups;
 }
 
-SdmuResult Sdmu::simulate_tile(const EncodedTile& tile, int cc_cycles_per_match) const {
-  SdmuResult result;
-  simulate_tile(tile, cc_cycles_per_match, result);
-  return result;
-}
-
 void Sdmu::simulate_tile(const EncodedTile& tile, int cc_cycles_per_match,
                          SdmuResult& out) const {
   ESCA_REQUIRE(cc_cycles_per_match >= 1, "cc_cycles_per_match must be >= 1");

@@ -89,7 +89,6 @@ class Sdmu {
   /// @param cc_cycles_per_match  consumption rate of the computing core
   ///                             (ArchConfig::cycles_per_match).
   void simulate_tile(const EncodedTile& tile, int cc_cycles_per_match, SdmuResult& out) const;
-  SdmuResult simulate_tile(const EncodedTile& tile, int cc_cycles_per_match) const;
 
   const ArchConfig& config() const { return config_; }
 

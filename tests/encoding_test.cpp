@@ -228,10 +228,7 @@ TEST_P(EncoderOracleTest, EqualsBruteForceEncoder) {
   for (std::int64_t i = 0; i < c.extent.volume(); ++i) {
     if (rng.bernoulli(c.density)) coords.push_back(delinearize(i, c.extent));
   }
-  for (std::size_t i = coords.size(); i > 1; --i) {
-    std::swap(coords[i - 1],
-              coords[static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
-  }
+  std::shuffle(coords.begin(), coords.end(), rng.engine());
   sparse::SparseTensor geometry(c.extent, 1);
   for (const Coord3& coord : coords) geometry.add_site(coord);
 

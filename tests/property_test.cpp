@@ -176,8 +176,9 @@ TEST_P(SdmuTimingProperty, CyclesAtLeastScanAndDrainBounds) {
   const voxel::TileGrid grid = core::ZeroRemoving(cfg.tile_size).apply(geometry);
   const auto tiles = core::TileEncoder(cfg).encode(geometry, grid, nullptr);
   const core::Sdmu sdmu(cfg);
+  core::SdmuResult r;
   for (const auto& tile : tiles) {
-    const auto r = sdmu.simulate_tile(tile, ccpm);
+    sdmu.simulate_tile(tile, ccpm, r);
     EXPECT_GE(r.stats.cycles, tile.core_size().volume() * cfg.mask_read_cycles);
     EXPECT_GE(r.stats.cycles, r.stats.matches * ccpm);
   }

@@ -211,9 +211,7 @@ EncodedTile random_tile(Coord3 core, int radius, double density, Rng& rng) {
   std::partial_sum(column_start.begin(), column_start.end(), column_start.begin());
   std::vector<std::int32_t> rows(static_cast<std::size_t>(column_start.back()));
   std::iota(rows.begin(), rows.end(), 0);
-  for (std::size_t i = rows.size(); i > 1; --i) {
-    std::swap(rows[i - 1], rows[static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
-  }
+  std::shuffle(rows.begin(), rows.end(), rng.engine());
   std::int32_t core_active = 0;
   for (int x = radius; x < radius + core.x; ++x) {
     for (int y = radius; y < radius + core.y; ++y) {

@@ -29,6 +29,12 @@ Prepared prepare(const sparse::SparseTensor& t, const ArchConfig& cfg) {
   return {std::move(geometry), std::move(tiles)};
 }
 
+SdmuResult simulate(const Sdmu& sdmu, const EncodedTile& tile, int cc_cycles_per_match) {
+  SdmuResult result;
+  sdmu.simulate_tile(tile, cc_cycles_per_match, result);
+  return result;
+}
+
 using MatchTuple = std::tuple<std::int32_t, std::int16_t, std::int32_t>;  // in, w, out
 
 std::set<MatchTuple> all_matches(const std::vector<MatchGroup>& groups) {
@@ -107,7 +113,7 @@ TEST(SdmuSimulateTest, SameMatchesAsFunctionalPath) {
   const Sdmu sdmu(cfg);
   for (const EncodedTile& tile : p.tiles) {
     const auto functional = sdmu.match_tile(tile);
-    const SdmuResult timed = sdmu.simulate_tile(tile, 1);
+    const SdmuResult timed = simulate(sdmu, tile, 1);
     EXPECT_EQ(all_matches(timed), all_matches(functional));
     // Consumption preserves group order (scan order of active SRFs).
     ASSERT_EQ(timed.groups.size(), functional.size());
@@ -125,7 +131,7 @@ TEST(SdmuSimulateTest, StatsAreCoherent) {
   const Sdmu sdmu(cfg);
 
   for (const EncodedTile& tile : p.tiles) {
-    const SdmuResult r = sdmu.simulate_tile(tile, 1);
+    const SdmuResult r = simulate(sdmu, tile, 1);
     EXPECT_EQ(r.stats.srf_total, tile.core_size().volume());
     EXPECT_EQ(r.stats.srf_active + r.stats.srf_skipped, r.stats.srf_total);
     EXPECT_EQ(r.stats.srf_active, tile.core_active_count());
@@ -148,8 +154,8 @@ TEST(SdmuSimulateTest, SlowerCcIncreasesCycles) {
   const Sdmu sdmu(cfg);
   ASSERT_FALSE(p.tiles.empty());
   const EncodedTile& tile = p.tiles.front();
-  const auto fast = sdmu.simulate_tile(tile, 1);
-  const auto slow = sdmu.simulate_tile(tile, 4);
+  const auto fast = simulate(sdmu, tile, 1);
+  const auto slow = simulate(sdmu, tile, 4);
   EXPECT_GE(slow.stats.cycles, fast.stats.cycles);
   // With ccpm=4 the drain takes at least 4 cycles per match.
   EXPECT_GE(slow.stats.cycles, slow.stats.matches * 4);
@@ -166,8 +172,8 @@ TEST(SdmuSimulateTest, ShallowFifoStillCorrectJustSlower) {
   const Sdmu sdmu_deep(deep);
   const Sdmu sdmu_shallow(shallow);
   for (const EncodedTile& tile : pd.tiles) {
-    const auto a = sdmu_deep.simulate_tile(tile, 2);
-    const auto b = sdmu_shallow.simulate_tile(tile, 2);
+    const auto a = simulate(sdmu_deep, tile, 2);
+    const auto b = simulate(sdmu_shallow, tile, 2);
     EXPECT_EQ(all_matches(a), all_matches(b));
     EXPECT_GE(b.stats.cycles, a.stats.cycles);
   }
@@ -181,7 +187,7 @@ TEST(SdmuSimulateTest, EmptyTileCostsOnlyScan) {
   const Prepared p = prepare(t, cfg);
   ASSERT_EQ(p.tiles.size(), 1U);
   const Sdmu sdmu(cfg);
-  const auto r = sdmu.simulate_tile(p.tiles.front(), 1);
+  const auto r = simulate(sdmu, p.tiles.front(), 1);
   EXPECT_EQ(r.stats.srf_active, 1);
   EXPECT_EQ(r.stats.srf_skipped, 511);
   EXPECT_EQ(r.stats.matches, 1);
@@ -212,7 +218,7 @@ TEST(SdmuSimulateTest, RejectsBadCcRate) {
   const Prepared p = prepare(t, cfg);
   const Sdmu sdmu(cfg);
   ASSERT_FALSE(p.tiles.empty());
-  EXPECT_THROW((void)sdmu.simulate_tile(p.tiles.front(), 0), InvalidArgument);
+  EXPECT_THROW((void)simulate(sdmu, p.tiles.front(), 0), InvalidArgument);
 }
 
 }  // namespace
