@@ -18,8 +18,8 @@
 // rows. A voxel is stored by its own tile (as a core site) and, when it
 // lies within the kernel radius of a tile face, by every neighbour tile
 // whose halo reaches it, up to ceil(radius / tile) tiles away. The stored
-// sites are sorted by (tile, column, z) and set their mask bits. Nothing is
-// looked up per padded voxel, and column prefixes are popcounts over the
+// sites are sorted by (tile, column, z), and each sets its mask bit. Nothing
+// is looked up per padded voxel, and column prefixes are popcounts over the
 // mask words.
 #pragma once
 
@@ -90,16 +90,16 @@ class EncodedTile {
                 std::int32_t core_active_count);
 
  private:
-  Coord3 tile_coord_;
-  Coord3 core_origin_;
-  Coord3 core_size_;
-  Coord3 padded_size_;
-  int radius_;
   std::size_t bit_of(int col, int z) const {
     return static_cast<std::size_t>(col) * static_cast<std::size_t>(depth()) +
            static_cast<std::size_t>(z);
   }
 
+  Coord3 tile_coord_;
+  Coord3 core_origin_;
+  Coord3 core_size_;
+  Coord3 padded_size_;
+  int radius_;
   std::vector<std::uint64_t> mask_;
   std::vector<std::int32_t> column_start_;
   std::vector<std::int32_t> site_rows_;

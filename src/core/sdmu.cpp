@@ -106,6 +106,8 @@ void SdmuStats::merge(const SdmuStats& other) {
 
 Sdmu::Sdmu(const ArchConfig& config) : config_(config), state_gen_(config.kernel_size) {
   config_.validate();
+  // Generate reads a window's K mask bits of a column as one 64-bit word.
+  ESCA_REQUIRE(config_.kernel_size <= 64, "kernel_size " << config_.kernel_size << " > 64");
 }
 
 std::vector<MatchGroup> Sdmu::match_tile(const EncodedTile& tile) const {

@@ -297,6 +297,8 @@ INSTANTIATE_TEST_SUITE_P(
         EncoderCase{"empty", {8, 8, 8}, {4, 4, 4}, 3, 0.0},
         EncoderCase{"full_k3", {9, 8, 10}, {4, 4, 4}, 3, 1.0},
         EncoderCase{"full_k5", {6, 6, 6}, {3, 2, 4}, 5, 1.0},
+        // Columns longer than a 64-bit mask word.
+        EncoderCase{"tall_columns", {6, 5, 150}, {2, 2, 70}, 3, 0.3},
         // Sparse scatter: most tiles sit on the grid border.
         EncoderCase{"sparse_border", {20, 20, 20}, {8, 8, 8}, 3, 0.01},
         EncoderCase{"k1", {10, 10, 10}, {4, 4, 4}, 1, 0.2}),

@@ -261,7 +261,8 @@ class SdmuOracleTest : public ::testing::TestWithParam<std::tuple<int, int>> {};
 TEST_P(SdmuOracleTest, EveryCounterAndTheMatchStreamEqualThePerCycleModel) {
   const auto [k, ccpm] = GetParam();
   Rng rng(9100 + static_cast<std::uint64_t>(k) * 100 + static_cast<std::uint64_t>(ccpm));
-  const std::vector<Coord3> cores = {{4, 4, 4}, {3, 2, 5}};
+  // A cube, an anisotropic core, and columns longer than a 64-bit mask word.
+  const std::vector<Coord3> cores = {{4, 4, 4}, {3, 2, 5}, {1, 2, 70}};
   const std::vector<double> densities = {0.0, 0.02, 0.1, 0.3, 0.6, 1.0};
   SdmuResult reused;  // one result object across tiles, as run_layer uses it
   for (const Coord3& core : cores) {
