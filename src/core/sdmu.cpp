@@ -81,7 +81,7 @@ void generate_group(const EncodedTile& tile, const Coord3& pos, int kernel_size,
                                     static_cast<std::int16_t>(decoder_column), out_row});
       }
       SdmuColumn& column = out.columns[static_cast<std::size_t>(decoder_column)];
-      column.fragments[column.queued++] = frag.length();
+      column.fragments[static_cast<std::size_t>(column.queued++)] = frag.length();
     }
   }
   const auto end = static_cast<std::int32_t>(out.matches.size());

@@ -32,6 +32,7 @@
 // words instead of O(simulated cycles).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -60,7 +61,7 @@ struct SdmuStats {
 /// fetches each queued fragment has left) and its match FIFO's occupancy.
 struct SdmuColumn {
   static constexpr int kFragmentQueueDepth = 2;  ///< generate/fetch skid buffer
-  std::int32_t fragments[kFragmentQueueDepth]{};
+  std::array<std::int32_t, kFragmentQueueDepth> fragments{};
   int queued{0};
   int fifo{0};
 };
