@@ -39,10 +39,4 @@ voxel::TileGrid ZeroRemoving::apply(const sparse::SparseTensor& tensor,
   return tiles;
 }
 
-voxel::VoxelGrid occupancy_of(const sparse::SparseTensor& tensor) {
-  voxel::VoxelGrid grid(tensor.spatial_extent());
-  for (const Coord3& c : tensor.coords()) grid.insert(c);
-  return grid;
-}
-
 }  // namespace esca::core

@@ -44,7 +44,4 @@ class ZeroRemoving {
   Coord3 tile_size_;
 };
 
-/// Occupancy grid with the same active set as the tensor's coordinates.
-voxel::VoxelGrid occupancy_of(const sparse::SparseTensor& tensor);
-
 }  // namespace esca::core

@@ -75,14 +75,6 @@ TEST(ZeroRemovingTest, Table1AllTileCounts) {
   }
 }
 
-TEST(ZeroRemovingTest, OccupancyOfMatchesCoordinates) {
-  Rng rng(104);
-  const auto t = test::random_sparse_tensor({16, 16, 16}, 3, 0.05, rng);
-  const voxel::VoxelGrid grid = occupancy_of(t);
-  EXPECT_EQ(grid.occupied_count(), t.size());
-  for (const Coord3& c : t.coords()) EXPECT_TRUE(grid.occupied(c));
-}
-
 TEST(ZeroRemovingTest, EmptyTensorYieldsNoActiveTiles) {
   const sparse::SparseTensor t({32, 32, 32}, 1);
   ZeroRemovingStats stats;
