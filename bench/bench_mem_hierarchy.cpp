@@ -13,8 +13,8 @@
 // Usage: bench_mem_hierarchy [resolution=96] [frames=2] [smoke=0]
 // smoke=1 shrinks the workload for CI and still emits the BENCH lines.
 // Each point also reports the SDMU's simulated counters (cycles, stalls,
-// FIFO high water — gated bit-exact) and host_ms, the wall time the host
-// spends simulating the point.
+// FIFO high water — gated bit-exact) and host_ms, the host wall time of the
+// point's backend run (numerics and simulation).
 #include <chrono>
 #include <cstdio>
 #include <string>
