@@ -3,7 +3,9 @@
 // Every intra-frame fan-out goes through parallel_for(n, fn), which runs
 // fn(i) for every i in [0, n) and returns once all of them have finished.
 // Its callers are the cold geometry builds, the frame diff, the five phases
-// of the incremental patch and the compute engine's block ranges. Behind it
+// of the incremental patch, the compute engine's block ranges and, through
+// parallel_for_chunks, the element-wise quantize / requantize / abs_max
+// loops that build and calibrate INT tensors. Behind it
 // sits one bounded pool of intra_frame_threads() - 1 persistent helper
 // threads shared by the whole process, so serve workers fanning out at the
 // same time share one thread budget instead of each owning threads.
@@ -27,6 +29,8 @@
 // run at once.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <type_traits>
 
@@ -53,6 +57,24 @@ void parallel_for(int n, F&& fn) {
   detail::parallel_for(
       n, [](void* ctx, int i) { (*static_cast<Fn*>(ctx))(i); },
       const_cast<void*>(static_cast<const void*>(std::addressof(fn))));
+}
+
+/// Number of chunks parallel_for_chunks(n, chunk, ...) runs (chunk > 0).
+inline std::size_t chunk_count(std::size_t n, std::size_t chunk) {
+  return (n + chunk - 1) / chunk;
+}
+
+/// Run fn(begin, end) over [0, n) cut into consecutive ranges of `chunk`
+/// elements (the last one may be shorter), one parallel_for index per
+/// range. Range c starts at c * chunk. The cut depends only on n and chunk,
+/// never on the pool size, so element-wise loops and per-range reductions
+/// give the same result at any thread count.
+template <typename F>
+void parallel_for_chunks(std::size_t n, std::size_t chunk, F&& fn) {
+  parallel_for(static_cast<int>(chunk_count(n, chunk)), [&](int c) {
+    const std::size_t begin = static_cast<std::size_t>(c) * chunk;
+    fn(begin, std::min(n, begin + chunk));
+  });
 }
 
 }  // namespace esca

@@ -5,16 +5,23 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/executor.hpp"
 #include "sparse/compute.hpp"
 #include "sparse/geometry.hpp"
 
 namespace esca::quant {
 
+namespace {
+
+/// Output rows per executor task in requantize_output.
+constexpr std::size_t kRequantizeRows = 1024;
+
+}  // namespace
+
 std::int16_t requantize(std::int64_t acc, float scale, float shift, bool relu) {
   float y = static_cast<float>(acc) * scale + shift;
   if (relu && y < 0.0F) y = 0.0F;
-  const auto q = static_cast<std::int32_t>(std::nearbyint(y));
-  return static_cast<std::int16_t>(std::clamp(q, -kInt16Max, kInt16Max));
+  return static_cast<std::int16_t>(round_saturate(y, kInt16Max));
 }
 
 QuantizedSubConv QuantizedSubConv::from_float(const nn::SubmanifoldConv3d& conv,
@@ -160,16 +167,17 @@ QSparseTensor QuantizedSubConv::forward_reference(const QSparseTensor& input,
 QSparseTensor QuantizedSubConv::requantize_output(const QSparseTensor& input,
                                                   std::span<const std::int64_t> acc) const {
   const auto cout = static_cast<std::size_t>(out_channels_);
-  QSparseTensor output(input.spatial_extent(), out_channels_, QuantParams{out_scale_});
-  output.reserve(input.size());
-  for (std::size_t row = 0; row < input.size(); ++row) {
-    const std::int32_t r = output.add_site(input.coord(row));
-    auto dst = output.features(static_cast<std::size_t>(r));
-    const std::int64_t* src = acc.data() + row * cout;
-    for (std::size_t co = 0; co < cout; ++co) {
-      dst[co] = requantize(src[co], requant_scale_[co], requant_shift_[co], relu_);
+  ESCA_ASSERT(acc.size() == input.size() * cout, "accumulator size mismatch");
+  QSparseTensor output = input.zeros_like(out_channels_, QuantParams{out_scale_});
+  parallel_for_chunks(input.size(), kRequantizeRows, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t row = begin; row < end; ++row) {
+      const auto dst = output.features(row);
+      const std::int64_t* src = acc.data() + row * cout;
+      for (std::size_t co = 0; co < cout; ++co) {
+        dst[co] = requantize(src[co], requant_scale_[co], requant_shift_[co], relu_);
+      }
     }
-  }
+  });
   return output;
 }
 

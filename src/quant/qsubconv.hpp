@@ -111,7 +111,10 @@ class QuantizedSubConv {
   QuantizedSubConv() = default;
 
   /// Requantize the INT64 accumulator [input rows x Cout] into the output
-  /// tensor (same coordinate set as the input — submanifold).
+  /// tensor. Submanifold: the output is input.zeros_like(), the input's
+  /// sites in its row order, and its rows are written in place in
+  /// fixed-size row chunks on the shared executor; each value is computed
+  /// on its own, so the result is the same at any thread count.
   QSparseTensor requantize_output(const QSparseTensor& input,
                                   std::span<const std::int64_t> acc) const;
 

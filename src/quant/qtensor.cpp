@@ -1,10 +1,20 @@
 #include "quant/qtensor.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
+#include "common/executor.hpp"
 #include "sparse/geometry.hpp"
 #include "voxel/morton.hpp"
 
 namespace esca::quant {
+
+namespace {
+
+/// Feature values per executor task in the element-wise conversions.
+constexpr std::size_t kConvertChunk = std::size_t{1} << 14;
+
+}  // namespace
 
 QSparseTensor::QSparseTensor(Coord3 spatial_extent, int channels, QuantParams params)
     : extent_(spatial_extent), channels_(channels), params_(params) {
@@ -37,17 +47,23 @@ QSparseTensor& QSparseTensor::operator=(const QSparseTensor& other) {
   return *this;
 }
 
+QSparseTensor::QSparseTensor(Coord3 spatial_extent, int channels, QuantParams params,
+                             std::vector<Coord3> coords, sparse::CoordIndex index)
+    : QSparseTensor(spatial_extent, channels, params) {
+  coords_ = std::move(coords);
+  index_ = std::move(index);
+  features_.assign(coords_.size() * static_cast<std::size_t>(channels_), 0);
+}
+
 QSparseTensor QSparseTensor::from_float(const sparse::SparseTensor& t, QuantParams params) {
-  QSparseTensor q(t.spatial_extent(), t.channels(), params);
-  q.reserve(t.size());
-  for (std::size_t row = 0; row < t.size(); ++row) {
-    const std::int32_t r = q.add_site(t.coord(row));
-    auto dst = q.features(static_cast<std::size_t>(r));
-    const auto src = t.features(row);
-    for (std::size_t c = 0; c < src.size(); ++c) {
-      dst[c] = static_cast<std::int16_t>(quantize_value(src[c], params, kInt16Max));
+  QSparseTensor q(t.spatial_extent(), t.channels(), params, t.coords(), t.index());
+  const std::vector<float>& src = t.raw_features();
+  std::int16_t* dst = q.features_.data();
+  parallel_for_chunks(src.size(), kConvertChunk, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      dst[i] = static_cast<std::int16_t>(quantize_value(src[i], params, kInt16Max));
     }
-  }
+  });
   return q;
 }
 
@@ -55,10 +71,10 @@ QSparseTensor QSparseTensor::from_float_calibrated(const sparse::SparseTensor& t
   return from_float(t, calibrate(t.abs_max(), kInt16Max));
 }
 
-void QSparseTensor::reserve(std::size_t n) {
-  coords_.reserve(n);
-  features_.reserve(n * static_cast<std::size_t>(channels_));
-  index_.reserve(n);
+QSparseTensor QSparseTensor::zeros_like(int channels, QuantParams params) const {
+  QSparseTensor out(extent_, channels, params, coords_, index_);
+  out.cached_geometry_ = std::atomic_load(&cached_geometry_);
+  return out;
 }
 
 std::int32_t QSparseTensor::add_site(const Coord3& c) {
@@ -111,29 +127,24 @@ std::span<const std::int16_t> QSparseTensor::features(std::size_t row) const {
 }
 
 sparse::SparseTensor QSparseTensor::to_float() const {
-  sparse::SparseTensor t(extent_, channels_);
-  t.reserve(coords_.size());
-  for (std::size_t row = 0; row < coords_.size(); ++row) {
-    const std::int32_t r = t.add_site(coords_[row]);
-    auto dst = t.features(static_cast<std::size_t>(r));
-    const auto src = features(row);
-    for (std::size_t c = 0; c < src.size(); ++c) {
-      dst[c] = params_.dequantize(src[c]);
-    }
-  }
+  sparse::SparseTensor t = sparse::SparseTensor::from_coords(extent_, channels_, coords_, index_);
+  float* dst = t.raw_features().data();
+  parallel_for_chunks(features_.size(), kConvertChunk, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) dst[i] = params_.dequantize(features_[i]);
+  });
   return t;
 }
 
 bool operator==(const QSparseTensor& a, const QSparseTensor& b) {
   if (a.channels_ != b.channels_ || a.coords_.size() != b.coords_.size()) return false;
+  // Rows aligned (e.g. a backend output against its gold): one flat compare.
+  if (a.coords_ == b.coords_) return a.features_ == b.features_;
   for (std::size_t i = 0; i < a.coords_.size(); ++i) {
     const std::int32_t j = b.find(a.coords_[i]);
     if (j < 0) return false;
     const auto fa = a.features(i);
     const auto fb = b.features(static_cast<std::size_t>(j));
-    for (std::size_t c = 0; c < fa.size(); ++c) {
-      if (fa[c] != fb[c]) return false;
-    }
+    if (!std::equal(fa.begin(), fa.end(), fb.begin())) return false;
   }
   return true;
 }

@@ -1,6 +1,13 @@
 // Quantized sparse tensor: INT16 activations at active sites + a scale.
 // Coordinate lookup uses the same Morton-ordered CoordIndex as the float
 // SparseTensor (no hash table).
+//
+// Tensors over a coordinate set that already exists are built in bulk:
+// from_float, to_float and zeros_like take flat copies of the source's
+// coords and index (no per-site CoordIndex insert) and then fill the feature
+// array element-wise, in fixed-size chunks on the shared executor
+// (common/executor.hpp); every value is computed on its own, so the result
+// is the same at any thread count. add_site() remains for hand-built tensors.
 #pragma once
 
 #include <cstdint>
@@ -31,17 +38,20 @@ class QSparseTensor {
   QSparseTensor& operator=(QSparseTensor&&) noexcept = default;
   ~QSparseTensor() = default;
 
-  /// Quantize a float tensor with the given (or calibrated) params.
+  /// Quantize a float tensor with the given (or calibrated) params. The
+  /// result has `t`'s sites in `t`'s row order (flat copies, see above).
   static QSparseTensor from_float(const sparse::SparseTensor& t, QuantParams params);
   static QSparseTensor from_float_calibrated(const sparse::SparseTensor& t);
+
+  /// Zero tensor with `channels` channels and `params` over this tensor's
+  /// sites, in the same row order. The submanifold geometry memo is carried
+  /// over: it depends on the sites alone.
+  QSparseTensor zeros_like(int channels, QuantParams params) const;
 
   const Coord3& spatial_extent() const { return extent_; }
   int channels() const { return channels_; }
   std::size_t size() const { return coords_.size(); }
   const QuantParams& params() const { return params_; }
-
-  /// Pre-allocate storage for n sites.
-  void reserve(std::size_t n);
 
   std::int32_t add_site(const Coord3& c);
   std::int32_t find(const Coord3& c) const;
@@ -61,16 +71,20 @@ class QSparseTensor {
   sparse::SparseTensor sites() const;
 
   /// Submanifold geometry over these coordinates, built on first use and
-  /// cached on the tensor (per kernel size; invalidated by add_site()).
+  /// cached on the tensor (per kernel size; invalidated by add_site(),
+  /// carried over by zeros_like()).
   /// Safe to call from concurrent readers of one shared tensor: the memo is
   /// accessed atomically, racing first calls each build and one wins (the
   /// geometry is deterministic, so every caller sees identical content).
   std::shared_ptr<const sparse::LayerGeometry> submanifold_geometry(int kernel_size) const;
 
-  /// Dequantize back to float (for accuracy comparisons).
+  /// Dequantize back to float (for accuracy comparisons); rows keep this
+  /// tensor's order.
   sparse::SparseTensor to_float() const;
 
-  /// True iff coords, channels and every int16 value match.
+  /// True iff both hold the same sites with the same channels and every
+  /// site's int16 values match, in any row order. Equal coordinate lists
+  /// compare the feature arrays directly; otherwise each site is looked up.
   friend bool operator==(const QSparseTensor& a, const QSparseTensor& b);
 
  private:
@@ -78,6 +92,11 @@ class QSparseTensor {
     int kernel_size;
     std::shared_ptr<const sparse::LayerGeometry> geometry;
   };
+
+  /// Zero tensor over copies of an existing site list and its index
+  /// (`index` maps exactly coords[i] -> i).
+  QSparseTensor(Coord3 spatial_extent, int channels, QuantParams params,
+                std::vector<Coord3> coords, sparse::CoordIndex index);
 
   Coord3 extent_;
   int channels_;

@@ -14,13 +14,6 @@ QuantParams calibrate(float abs_max, std::int32_t qmax) {
   return QuantParams{abs_max / static_cast<float>(qmax)};
 }
 
-std::int32_t quantize_value(float x, const QuantParams& params, std::int32_t qmax) {
-  ESCA_ASSERT(params.scale > 0.0F, "scale must be positive");
-  const float scaled = x / params.scale;
-  const auto q = static_cast<std::int32_t>(std::nearbyint(scaled));
-  return std::clamp(q, -qmax, qmax);
-}
-
 std::vector<std::int8_t> quantize_int8(std::span<const float> values,
                                        const QuantParams& params) {
   std::vector<std::int8_t> out(values.size());

@@ -4,9 +4,17 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "common/executor.hpp"
 #include "voxel/morton.hpp"
 
 namespace esca::sparse {
+
+namespace {
+
+/// Feature values per executor task in abs_max().
+constexpr std::size_t kAbsMaxChunk = std::size_t{1} << 14;
+
+}  // namespace
 
 SparseTensor::SparseTensor(Coord3 spatial_extent, int channels)
     : extent_(spatial_extent), channels_(channels) {
@@ -42,8 +50,9 @@ SparseTensor SparseTensor::from_coords(Coord3 spatial_extent, int channels,
   t.coords_ = std::move(coords);
   t.index_ = std::move(index);
   t.features_.assign(t.coords_.size() * static_cast<std::size_t>(channels), 0.0F);
-  // Row order is the caller's; don't claim canonical (z, y, x) order.
-  t.canonically_sorted_ = t.coords_.empty();
+  // Row order is the caller's: canonical only if the rows happen to be
+  // (the index rules out duplicates, so sorted means strictly increasing).
+  t.canonically_sorted_ = std::is_sorted(t.coords_.begin(), t.coords_.end());
   return t;
 }
 
@@ -136,8 +145,16 @@ void SparseTensor::sort_canonical() {
 }
 
 float SparseTensor::abs_max() const {
+  // Per-chunk maxima, then the max of those: max is exact, so the result
+  // does not depend on how many chunks run at once.
+  std::vector<float> chunk_max(chunk_count(features_.size(), kAbsMaxChunk), 0.0F);
+  parallel_for_chunks(features_.size(), kAbsMaxChunk, [&](std::size_t begin, std::size_t end) {
+    float m = 0.0F;
+    for (std::size_t i = begin; i < end; ++i) m = std::max(m, std::fabs(features_[i]));
+    chunk_max[begin / kAbsMaxChunk] = m;
+  });
   float m = 0.0F;
-  for (const float v : features_) m = std::max(m, std::fabs(v));
+  for (const float v : chunk_max) m = std::max(m, v);
   return m;
 }
 

@@ -29,7 +29,8 @@ class SparseTensor {
 
   /// Zero tensor over an externally owned coordinate set and its prebuilt
   /// index (flat copies/moves — no re-sorting, no per-site insertion).
-  /// `index` must map exactly coords[i] -> i; rows keep the given order.
+  /// `index` must map exactly coords[i] -> i; rows keep the given order,
+  /// and canonically_sorted() reports whether that order is canonical.
   static SparseTensor from_coords(Coord3 spatial_extent, int channels,
                                   std::vector<Coord3> coords, CoordIndex index);
 
@@ -73,10 +74,12 @@ class SparseTensor {
   void sort_canonical();
 
   /// True when rows are in canonical (z, y, x) order — set by
-  /// sort_canonical() and preserved by in-order add_site()/zeros_like().
+  /// sort_canonical(), preserved by in-order add_site()/zeros_like() and
+  /// detected by from_coords().
   bool canonically_sorted() const { return canonically_sorted_; }
 
-  /// Max |feature| over all sites/channels (quantization calibration).
+  /// Max |feature| over all sites/channels (quantization calibration), as
+  /// per-chunk maxima on the shared executor.
   float abs_max() const;
 
  private:

@@ -35,6 +35,24 @@ TEST(ExecutorTest, EveryIndexRunsExactlyOnce) {
   }
 }
 
+TEST(ExecutorTest, ChunkedRangesCoverEveryIndexExactlyOnce) {
+  constexpr std::size_t kChunk = 7;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, kChunk - 1, kChunk,
+                              3 * kChunk + 1}) {
+    std::vector<std::atomic<int>> hits(n);
+    std::atomic<std::size_t> ranges{0};
+    parallel_for_chunks(n, kChunk, [&](std::size_t begin, std::size_t end) {
+      EXPECT_EQ(begin % kChunk, 0U);
+      EXPECT_LT(begin, end);
+      EXPECT_LE(end - begin, kChunk);
+      ranges.fetch_add(1);
+      for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+    });
+    EXPECT_EQ(ranges.load(), chunk_count(n, kChunk)) << "n=" << n;
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " i=" << i;
+  }
+}
+
 TEST(ExecutorTest, ConcurrentCallersAllComplete) {
   const int n = 2 * intra_frame_threads() + 1;
   constexpr int kCallers = 4;

@@ -31,6 +31,14 @@ TEST(RequantizeTest, SaturatesToInt16) {
   EXPECT_EQ(requantize(-1'000'000'000, 1.0F, 0.0F, false), -kInt16Max);
 }
 
+TEST(RequantizeTest, BeyondInt32RangeSaturatesToItsOwnSign) {
+  constexpr std::int64_t kHuge = std::int64_t{1} << 40;
+  EXPECT_EQ(requantize(kHuge, 1.0F, 0.0F, /*relu=*/true), kInt16Max);
+  EXPECT_EQ(requantize(kHuge, 1.0F, 0.0F, /*relu=*/false), kInt16Max);
+  EXPECT_EQ(requantize(-kHuge, 1.0F, 0.0F, /*relu=*/false), -kInt16Max);
+  EXPECT_EQ(requantize(-kHuge, 1.0F, 0.0F, /*relu=*/true), 0);
+}
+
 /// Builds a quantized layer + input from float parts; returns max |float -
 /// dequantized| over all outputs.
 float quantized_vs_float_error(const sparse::SparseTensor& x, nn::SubmanifoldConv3d& conv,

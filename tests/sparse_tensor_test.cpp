@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "sparse/sparse_tensor.hpp"
@@ -139,6 +141,43 @@ TEST(SparseTensorTest, AbsMax) {
   EXPECT_FLOAT_EQ(t.abs_max(), 3.0F);
   const SparseTensor empty({4, 4, 4}, 1);
   EXPECT_FLOAT_EQ(empty.abs_max(), 0.0F);
+}
+
+TEST(SparseTensorTest, AbsMaxFindsTheMaxAtAnyPosition) {
+  // Enough values for several executor chunks; the max moves from the first
+  // value over interior and boundary positions to the last.
+  SparseTensor t({64, 64, 16}, 2);
+  for (std::int32_t z = 0; z < 16; ++z) {
+    for (std::int32_t y = 0; y < 64; ++y) {
+      for (std::int32_t x = 0; x < 40; ++x) t.add_site({x, y, z});
+    }
+  }
+  std::vector<float>& f = t.raw_features();
+  ASSERT_GT(f.size(), std::size_t{4} << 14);
+  for (std::size_t i = 0; i < f.size(); ++i) f[i] = (i % 2 == 0 ? 0.25F : -0.5F);
+  EXPECT_FLOAT_EQ(t.abs_max(), 0.5F);
+  for (const std::size_t pos : {std::size_t{0}, std::size_t{1} << 14, (std::size_t{1} << 14) - 1,
+                                f.size() / 2 + 3, f.size() - 1}) {
+    const float saved = f[pos];
+    f[pos] = pos % 3 == 0 ? -9.0F : 9.0F;
+    EXPECT_FLOAT_EQ(t.abs_max(), 9.0F) << "pos " << pos;
+    f[pos] = saved;
+  }
+}
+
+TEST(SparseTensorTest, FromCoordsDetectsCanonicalOrder) {
+  SparseTensor t({8, 8, 8}, 1);
+  t.add_site({1, 0, 0});
+  t.add_site({0, 1, 0});
+  t.add_site({0, 0, 1});
+  ASSERT_TRUE(t.canonically_sorted());
+  EXPECT_TRUE(SparseTensor::from_coords(t.spatial_extent(), 2, t.coords(), t.index())
+                  .canonically_sorted());
+  std::vector<Coord3> reversed(t.coords().rbegin(), t.coords().rend());
+  CoordIndex index;
+  ASSERT_TRUE(index.rebuild(reversed));
+  EXPECT_FALSE(SparseTensor::from_coords(t.spatial_extent(), 2, reversed, index)
+                   .canonically_sorted());
 }
 
 TEST(SparseTensorTest, MaxAbsDiff) {
